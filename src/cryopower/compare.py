@@ -17,15 +17,18 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .losses import LossBreakdown, architecture_loss_at
+from .losses import LossBreakdown, architecture_loss_at, carries_converter
 from .model import ARCHITECTURES, ArchitectureKind, SystemConfig
 from .noise import white_floor_ratio
-from .thermal import ThermalBudget, heat_budget
+from .thermal import ThermalBudget, _heat_grid, budget_from_loss, heat_budget
 
 # Relative slack absorbing last-ulp rounding when an operating point lands
 # exactly on the budget boundary; the next integer device always overshoots
 # by far more than this.
 _BUDGET_SLACK = 1e-12
+
+# Both budget solvers raise once this many devices fit.
+_MAX_DEVICES = 1 << 60
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -89,10 +92,8 @@ def _with_device_count(config: SystemConfig, count: int) -> SystemConfig:
 
 def evaluate_architecture(arch: ArchitectureKind, config: SystemConfig) -> ArchitectureEvaluation:
     """Pair the loss breakdown with the thermal budget at the configured load."""
-    return ArchitectureEvaluation(
-        loss=architecture_loss_at(arch, config, config.load.delivered_power),
-        thermal=heat_budget(arch, config),
-    )
+    loss = architecture_loss_at(arch, config, config.load.delivered_power)
+    return ArchitectureEvaluation(loss=loss, thermal=budget_from_loss(config, loss))
 
 
 def sweep_loss(
@@ -102,7 +103,12 @@ def sweep_loss(
 ) -> SweepResult:
     """Evaluate all five architectures at each device count.
 
-    ``map_fn`` may be replaced by a pool's map for parallel evaluation;
+    The whole device axis goes through the grid kernel
+    (:func:`cryopower.thermal._heat_grid`) in one call per architecture, and
+    every value is bit-identical to :func:`evaluate_architecture` at that
+    count; the first count also runs through :func:`evaluate_architecture`,
+    so an invalid config raises the same error. ``map_fn`` maps the kernel
+    call over the five architectures and may be replaced by a pool's map;
     results are assembled in input order either way.
     """
     if not device_counts:
@@ -113,12 +119,38 @@ def sweep_loss(
     if device_counts[0] < 1:
         raise ValueError(f"device counts must be >= 1, got {device_counts[0]}")
 
-    def _point(count: int) -> SweepPoint:
-        point_config = _with_device_count(config, int(count))
-        evaluations = tuple(evaluate_architecture(arch, point_config) for arch in ARCHITECTURES)
-        return SweepPoint(value=int(count), evaluations=evaluations)
+    # The kernel skips input checks; the single-point path raises them here.
+    first = _with_device_count(config, int(device_counts[0]))
+    for arch in ARCHITECTURES:
+        evaluate_architecture(arch, first)
+    counts = [int(count) for count in device_counts]
+    p_rx = [config.load.power_per_device * count for count in counts]
+    p_axis = np.array(p_rx)
+    stage = config.stage
 
-    return SweepResult(parameter="device_count", points=tuple(map_fn(_point, device_counts)))
+    def _columns(arch: ArchitectureKind) -> list:
+        grid = _heat_grid(arch, config, p_axis)
+        fields = (
+            grid.transmission_loss,
+            grid.converter_loss,
+            grid.loss_at_cold_stage,
+            grid.q_total,
+            grid.cooling_power,
+        )
+        return [np.broadcast_to(field, p_axis.shape).tolist() for field in fields] + [grid.p_load, grid.cop]
+
+    columns = list(map_fn(_columns, ARCHITECTURES))
+    points = []
+    for i, count in enumerate(counts):
+        evaluations = []
+        for arch, (trans, conv, cold, q_total, cooling, p_load, cop) in zip(ARCHITECTURES, columns):
+            loss = LossBreakdown(arch, p_rx[i], trans[i], conv[i], cold[i])
+            thermal = ThermalBudget(
+                arch, p_load, cold[i], stage.q_ambient_leak, stage.q_electronics, q_total[i], cop, cooling[i]
+            )
+            evaluations.append(ArchitectureEvaluation(loss, thermal))
+        points.append(SweepPoint(value=count, evaluations=tuple(evaluations)))
+    return SweepResult(parameter="device_count", points=tuple(points))
 
 
 def _budget_cost(arch: ArchitectureKind, config: SystemConfig, p_rx: float) -> float:
@@ -130,20 +162,47 @@ def _fits_budget(arch: ArchitectureKind, config: SystemConfig, count: int, budge
     return _budget_cost(arch, config, p_rx) <= budget * (1.0 + _BUDGET_SLACK)
 
 
+def _last_fitting(arch: ArchitectureKind, config: SystemConfig, budget: float, lo: int, hi: int) -> int:
+    """Largest count in [lo, hi) that fits, given that ``lo`` fits and ``hi`` does not."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _fits_budget(arch, config, mid, budget):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def _closed_form_count(arch: ArchitectureKind, config: SystemConfig, budget: float) -> int:
     # The cold-entering loss is exactly linear-plus-quadratic in p, so probe
     # it at p = 1 and p = 2 to recover the coefficients of
-    # cost(p) = (1 + c1) p + c2 p^2 and solve cost(p*) = budget.
+    # cost(p) = b p + c p^2 and solve cost(p*) = budget with the root form
+    # that does not cancel when 4 c B << b^2 (and needs no branch for c = 0).
     loss1 = architecture_loss_at(arch, config, 1.0).loss_at_cold_stage
     loss2 = architecture_loss_at(arch, config, 2.0).loss_at_cold_stage
-    c2 = (loss2 - 2.0 * loss1) / 2.0
-    c1 = loss1 - c2
-    b1 = 1.0 + c1
-    if c2 <= 0.0:
-        p_star = budget / b1
+    c = max(0.0, (loss2 - 2.0 * loss1) / 2.0)
+    b = 1.0 + loss1 - c
+    p_star = 2.0 * budget / (b + math.sqrt(b * b + 4.0 * c * budget))
+    estimate = max(0, int(min(p_star / config.load.power_per_device, float(_MAX_DEVICES))))
+    # Rounding and the slack put the answer near the estimate, not on it.
+    # Most answers are the estimate or the next count, so try those first;
+    # otherwise gallop away to a bracket and bisect, in O(log error) steps.
+    # Zero devices always fit, as in the bisection solver.
+    step = 1
+    if _fits_budget(arch, config, estimate + 1, budget):
+        lo, hi = estimate + 1, estimate + 2
+        while hi <= _MAX_DEVICES and _fits_budget(arch, config, hi, budget):
+            lo, hi, step = hi, hi + step, 2 * step
+    elif estimate == 0 or _fits_budget(arch, config, estimate, budget):
+        lo, hi = estimate, estimate + 1
     else:
-        p_star = (-b1 + math.sqrt(b1 * b1 + 4.0 * c2 * budget)) / (2.0 * c2)
-    return max(0, int(p_star / config.load.power_per_device))
+        lo, hi = max(0, estimate - 1), estimate
+        while lo > 0 and not _fits_budget(arch, config, lo, budget):
+            lo, hi, step = max(0, lo - step), lo, 2 * step
+    count = _last_fitting(arch, config, budget, lo, hi)
+    if count >= _MAX_DEVICES:
+        raise ValueError("device count under budget is unbounded")
+    return count
 
 
 def _bisection_count(arch: ArchitectureKind, config: SystemConfig, budget: float) -> int:
@@ -152,15 +211,9 @@ def _bisection_count(arch: ArchitectureKind, config: SystemConfig, budget: float
     while _fits_budget(arch, config, hi, budget):
         lo = hi
         hi *= 2
-        if hi > 1 << 60:  # pragma: no cover - guards absurd configurations
+        if hi > _MAX_DEVICES:
             raise ValueError("device count under budget is unbounded")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _fits_budget(arch, config, mid, budget):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _last_fitting(arch, config, budget, lo, hi)
 
 
 def devices_under_budget(
@@ -186,12 +239,7 @@ def devices_under_budget(
         return _bisection_count(arch, config, total_budget)
     if method != "closed_form":
         raise ValueError(f"method must be 'closed_form' or 'bisection', got {method!r}")
-    count = _closed_form_count(arch, config, total_budget)
-    while _fits_budget(arch, config, count + 1, total_budget):
-        count += 1
-    while count > 0 and not _fits_budget(arch, config, count, total_budget):
-        count -= 1
-    return count
+    return _closed_form_count(arch, config, total_budget)
 
 
 def equivalent_wire_count(config: SystemConfig, reference: ArchitectureKind) -> float:
@@ -297,11 +345,7 @@ def resolve_parameters(
             raise ValueError(f"v_rx_hv must be >= load.v_rx ({config.load.v_rx!r}), got {v_hv!r}")
         result = replace(result, load=replace(result.load, v_rx_hv=v_hv))
         conv = result.converter
-        carries_converter = conv.include_loss and (
-            arch is ArchitectureKind.HV_WIRED
-            or (arch is ArchitectureKind.HV_NON_RADIATIVE and conv.attach_hv_nonradiative)
-        )
-        if couple_converter_input and carries_converter:
+        if couple_converter_input and carries_converter(arch, conv):
             if v_hv > conv.v_out:
                 conv = replace(conv, v_in=v_hv, duty=conv.v_out / v_hv)
             else:
@@ -355,6 +399,15 @@ def optimize(
     the integer wire-count axis enumerated) followed by golden-section
     refinement of the continuous axis around the best grid cell. Ties break
     toward smaller parameter values; the scan order makes that deterministic.
+
+    The grid goes through the grid kernel
+    (:func:`cryopower.thermal._heat_grid`): one call per wire count, each
+    over the whole ``v_rx_hv`` axis, and ``map_fn`` (which may be a pool's
+    map) maps those calls over the wire counts. Every grid value is
+    bit-identical to the single-point path (:func:`resolve_parameters` and
+    :func:`cryopower.thermal.heat_budget`); the first grid cell also runs
+    through it, so an invalid config raises the same error. The
+    golden-section refinement evaluates the single-point path.
     """
     if objective != "cooling_power":
         raise ValueError(f"unsupported objective {objective!r}")
@@ -401,16 +454,16 @@ def optimize(
     else:
         n_grid = [None]
 
-    evaluations = 0
-    trace: list[tuple[dict[str, float | int], float]] = []
-    best_params: dict[str, float | int] | None = None
-    best_value = math.inf
+    def _cooling(params: dict[str, float | int]) -> float:
+        point = resolve_parameters(config, arch, params, couple_converter_input)
+        return heat_budget(arch, point).cooling_power
+
+    evaluations = len(v_grid) * len(n_grid)
 
     def _objective(params: dict[str, float | int]) -> float:
         nonlocal evaluations
         evaluations += 1
-        point = resolve_parameters(config, arch, params, couple_converter_input)
-        return heat_budget(arch, point).cooling_power
+        return _cooling(params)
 
     def _params_for(v: float | None, n: int | None) -> dict[str, float | int]:
         params: dict[str, float | int] = {}
@@ -420,13 +473,31 @@ def optimize(
             params["wire_count"] = n
         return params
 
-    grid = [_params_for(v, n) for v in v_grid for n in n_grid]
-    values = list(map_fn(_objective, grid))
-    for params, value in zip(grid, values):
-        if value < best_value:
-            best_params, best_value = params, value
-            trace.append((dict(params), value))
-    assert best_params is not None
+    p_rx = config.load.delivered_power
+    v_axis = None if v_grid[0] is None else np.array(v_grid)
+
+    def _row(n: int | None) -> np.ndarray:
+        cooling = _heat_grid(arch, config, p_rx, v_axis, n, couple_converter_input).cooling_power
+        return np.broadcast_to(cooling, (len(v_grid),))
+
+    # The kernel skips input checks; the single-point path raises them here.
+    _cooling(_params_for(v_grid[0], n_grid[0]))
+    try:
+        values = np.stack(list(map_fn(_row, n_grid)), axis=1).ravel()
+    except FloatingPointError:
+        # A cell divides by zero: the single-point path raises there too, or
+        # the division sits in a converter branch that it never takes.
+        values = np.array([_cooling(_params_for(v, n)) for v in v_grid for n in n_grid])
+
+    # Strict improvements over the running minimum in v-major scan order,
+    # with NaN skipped as `value < best` skips it.
+    running = np.fmin.accumulate(np.concatenate(([math.inf], values)))[:-1]
+    trace: list[tuple[dict[str, float | int], float]] = [
+        (_params_for(v_grid[i // len(n_grid)], n_grid[i % len(n_grid)]), float(values[i]))
+        for i in np.flatnonzero(values < running)
+    ]
+    assert trace
+    best_params, best_value = dict(trace[-1][0]), trace[-1][1]
 
     if "v_rx_hv" in best_params and len(v_grid) > 1:
         index = v_grid.index(best_params["v_rx_hv"])

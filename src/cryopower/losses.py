@@ -38,6 +38,16 @@ def _check_efficiency(name: str, eta: float) -> None:
         raise ValueError(f"{name} must be in (0, 1], got {eta!r}")
 
 
+def _joule_loss(p, v, r, n):
+    # Shared by the scalar functions and the grid kernel (floats or NumPy
+    # arrays); keeping one operation order keeps both paths bit-identical.
+    return (p * p) / (v * v) * r / n
+
+
+def _efficiency_loss(p, eta):
+    return p * (1.0 / eta - 1.0)
+
+
 def wired_loss(p_rx: float, v_rx: float, r_wire: float, n_wires: int) -> float:
     """Joule loss of a conventional rail: (p_rx/v_rx)^2 * r_wire / n_wires.
 
@@ -50,7 +60,7 @@ def wired_loss(p_rx: float, v_rx: float, r_wire: float, n_wires: int) -> float:
         raise ValueError(f"wire resistance must be > 0, got {r_wire!r}")
     if n_wires < 1:
         raise ValueError(f"wire count must be >= 1, got {n_wires!r}")
-    return (p_rx * p_rx) / (v_rx * v_rx) * r_wire / n_wires
+    return _joule_loss(p_rx, v_rx, r_wire, n_wires)
 
 
 def hv_wired_loss(p_rx: float, v_rx_hv: float, r_wire: float, n_wires: int) -> float:
@@ -63,14 +73,14 @@ def radiative_loss(p_rx: float, eta_rad_r: float, eta_coup_ant: float) -> float:
     _check_delivered(p_rx)
     _check_efficiency("eta_rad_r", eta_rad_r)
     _check_efficiency("eta_coup_ant", eta_coup_ant)
-    return p_rx * (1.0 / (eta_rad_r * eta_coup_ant) - 1.0)
+    return _efficiency_loss(p_rx, eta_rad_r * eta_coup_ant)
 
 
 def nonradiative_loss(p_rx: float, eta_coup_coil: float) -> float:
     """Near-field coil-coupling loss: p_rx * (1 - eta)/eta."""
     _check_delivered(p_rx)
     _check_efficiency("eta_coup_coil", eta_coup_coil)
-    return p_rx * (1.0 / eta_coup_coil - 1.0)
+    return _efficiency_loss(p_rx, eta_coup_coil)
 
 
 def hv_nonradiative_loss(p_rx: float, eta_coup_coil: float) -> float:
@@ -89,22 +99,31 @@ def dcdc_efficiency(spec: ConverterSpec) -> float:
     eta = 1 / (1 + I_out*(R_HS*D + R_LS*(1-D) + R_L)/V_out
                + 0.5*V_in*(t_r + t_f)*f_sw/V_out)
     """
+    return _buck_efficiency(spec, spec.v_in, spec.duty)
+
+
+def _buck_efficiency(spec: ConverterSpec, v_in, duty):
+    """:func:`dcdc_efficiency` of ``spec`` at input ``v_in`` and ``duty`` (floats or arrays)."""
     if spec.v_out <= 0:
         raise ValueError(f"converter output voltage must be > 0, got {spec.v_out!r}")
-    conduction = (
-        spec.i_out * (spec.r_hs * spec.duty + spec.r_ls * (1.0 - spec.duty) + spec.r_l) / spec.v_out
-    )
-    switching = 0.5 * spec.v_in * (spec.t_r + spec.t_f) * spec.f_sw / spec.v_out
+    conduction = spec.i_out * (spec.r_hs * duty + spec.r_ls * (1.0 - duty) + spec.r_l) / spec.v_out
+    switching = 0.5 * v_in * (spec.t_r + spec.t_f) * spec.f_sw / spec.v_out
     return 1.0 / (1.0 + conduction + switching)
 
 
 def converter_loss(spec: ConverterSpec, p_rx: float) -> float:
     """Converter dissipation when passing ``p_rx`` watts: p_rx * (1/eta - 1)."""
     _check_delivered(p_rx)
-    return p_rx * (1.0 / dcdc_efficiency(spec) - 1.0)
+    return _efficiency_loss(p_rx, dcdc_efficiency(spec))
 
 
-def _has_converter(arch: ArchitectureKind, spec: ConverterSpec) -> bool:
+def carries_converter(arch: ArchitectureKind, spec: ConverterSpec) -> bool:
+    """Whether ``arch`` passes its power through the cold buck converter ``spec``.
+
+    HV wired always does and the HV non-radiative hybrid does when
+    ``attach_hv_nonradiative`` is set; ``include_loss = False`` removes the
+    stage from every architecture.
+    """
     if not spec.include_loss:
         return False
     if arch is ArchitectureKind.HV_WIRED:
@@ -143,7 +162,7 @@ def architecture_loss_at(
     else:  # pragma: no cover - enum is closed
         raise TypeError(f"unknown architecture: {arch!r}")
 
-    conv_loss = converter_loss(config.converter, p_rx) if _has_converter(arch, config.converter) else 0.0
+    conv_loss = converter_loss(config.converter, p_rx) if carries_converter(arch, config.converter) else 0.0
     cold = transmission * cold_fraction + conv_loss
     return LossBreakdown(
         architecture=arch,

@@ -9,8 +9,19 @@ at its (Carnot-limited, corrected) coefficient of performance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .losses import architecture_loss_at
+import numpy as np
+
+from .losses import (
+    LossBreakdown,
+    _buck_efficiency,
+    _efficiency_loss,
+    _joule_loss,
+    architecture_loss_at,
+    carries_converter,
+    dcdc_efficiency,
+)
 from .model import ArchitectureKind, SystemConfig
 
 
@@ -46,32 +57,102 @@ def carnot_cop(t_cold: float, t_ambient: float, eta_c: float) -> float:
     return eta_c * t_cold / (t_ambient - t_cold)
 
 
-def heat_budget_at(arch: ArchitectureKind, config: SystemConfig, p_rx: float) -> ThermalBudget:
-    """Heat budget for ``arch`` at an explicit delivered power ``p_rx``.
-
-    Wireless architectures carry no wire conduction load; wired ones carry
-    ``thermal_load_per_wire * wire_count``.
-    """
-    breakdown = architecture_loss_at(arch, config, p_rx)
-    if arch.is_wireless:
-        p_load = 0.0
-    else:
-        p_load = config.wire.thermal_load_per_wire * config.wire.wire_count
+def _stage_heat(arch: ArchitectureKind, config: SystemConfig, loss_at_cold_stage, wire_count):
+    """Wire conduction load, total cold-stage heat and COP (floats or arrays)."""
+    p_load = 0.0 if arch.is_wireless else config.wire.thermal_load_per_wire * wire_count
     stage = config.stage
-    q_total = p_load + breakdown.loss_at_cold_stage + stage.q_ambient_leak + stage.q_electronics
+    q_total = p_load + loss_at_cold_stage + stage.q_ambient_leak + stage.q_electronics
     cop = carnot_cop(config.cooling.t_cold, config.cooling.t_ambient, config.cooling.eta_c)
+    return p_load, q_total, cop
+
+
+def budget_from_loss(config: SystemConfig, breakdown: LossBreakdown) -> ThermalBudget:
+    """Heat budget around an already computed loss breakdown of ``config``."""
+    arch = breakdown.architecture
+    p_load, q_total, cop = _stage_heat(arch, config, breakdown.loss_at_cold_stage, config.wire.wire_count)
     return ThermalBudget(
         architecture=arch,
         p_load=p_load,
         p_loss_cold=breakdown.loss_at_cold_stage,
-        q_ambient=stage.q_ambient_leak,
-        q_electronics=stage.q_electronics,
+        q_ambient=config.stage.q_ambient_leak,
+        q_electronics=config.stage.q_electronics,
         q_total=q_total,
         cop=cop,
         cooling_power=q_total / cop,
     )
 
 
+def heat_budget_at(arch: ArchitectureKind, config: SystemConfig, p_rx: float) -> ThermalBudget:
+    """Heat budget for ``arch`` at an explicit delivered power ``p_rx``.
+
+    Wireless architectures carry no wire conduction load; wired ones carry
+    ``thermal_load_per_wire * wire_count``.
+    """
+    return budget_from_loss(config, architecture_loss_at(arch, config, p_rx))
+
+
 def heat_budget(arch: ArchitectureKind, config: SystemConfig) -> ThermalBudget:
     """Heat budget at the configured load."""
     return heat_budget_at(arch, config, config.load.delivered_power)
+
+
+class _HeatGrid(NamedTuple):
+    """Loss and heat fields of one architecture over a grid (see :func:`_heat_grid`)."""
+
+    transmission_loss: float | np.ndarray
+    converter_loss: float | np.ndarray
+    loss_at_cold_stage: float | np.ndarray
+    p_load: float | np.ndarray
+    q_total: float | np.ndarray
+    cop: float
+    cooling_power: float | np.ndarray
+
+
+def _heat_grid(
+    arch: ArchitectureKind,
+    config: SystemConfig,
+    p_rx,
+    v_rx_hv=None,
+    wire_count=None,
+    couple_converter_input: bool = True,
+) -> _HeatGrid:
+    """The fields of :func:`heat_budget_at` over a broadcast grid, in one pass.
+
+    ``p_rx``, ``v_rx_hv`` and ``wire_count`` are floats or NumPy arrays that
+    broadcast together; ``None`` keeps the configured value. A given
+    ``v_rx_hv`` sets the converter as ``compare.resolve_parameters`` does:
+    with coupling on, a converter-carrying architecture's converter input
+    tracks the rail (duty ``v_out / v_rx_hv``) and the stage drops where the
+    rail is at or below ``v_out``. Every value repeats the scalar formulas in
+    their operation order, so each cell is bit-identical to the scalar path
+    at that point. The kernel skips the scalar path's input checks: callers
+    run one grid cell through it first. Where a cell divides a nonzero value
+    by zero (the scalar path raises ``ZeroDivisionError`` there, unless the
+    division sits in a converter branch it never takes), the kernel raises
+    ``FloatingPointError``.
+    """
+    wire, load, coup, conv = config.wire, config.load, config.coupling, config.converter
+    n = wire.wire_count if wire_count is None else wire_count
+    v = load.v_rx_hv if v_rx_hv is None else v_rx_hv
+    with np.errstate(divide="raise", over="ignore", under="ignore", invalid="ignore"):
+        if arch is ArchitectureKind.WIRED:
+            transmission = _joule_loss(p_rx, load.v_rx, wire.effective_resistance, n)
+        elif arch is ArchitectureKind.HV_WIRED:
+            transmission = _joule_loss(p_rx, v, wire.effective_resistance, n)
+        elif arch is ArchitectureKind.RADIATIVE:
+            transmission = _efficiency_loss(p_rx, coup.eta_rad_r * coup.eta_coup_ant)
+        else:
+            transmission = _efficiency_loss(p_rx, coup.eta_coup_coil)
+        cold_fraction = coup.loss_to_cold_fraction if arch.is_wireless else 1.0
+        converter = 0.0
+        if carries_converter(arch, conv):
+            if v_rx_hv is None or not couple_converter_input:
+                converter = _efficiency_loss(p_rx, dcdc_efficiency(conv))
+            else:
+                carried = v > conv.v_out
+                if np.any(carried):  # as in the scalar path, only a carried stage checks its spec
+                    eta = _buck_efficiency(conv, v, conv.v_out / v)
+                    converter = np.where(carried, _efficiency_loss(p_rx, eta), 0.0)
+        cold = transmission * cold_fraction + converter
+        p_load, q_total, cop = _stage_heat(arch, config, cold, n)
+        return _HeatGrid(transmission, converter, cold, p_load, q_total, cop, q_total / cop)

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from cryopower import compare
 from cryopower.compare import (
     devices_under_budget,
     default_score_table,
@@ -16,6 +17,7 @@ from cryopower.compare import (
     scorecard,
     sweep_loss,
 )
+from cryopower.losses import architecture_loss_at
 from cryopower.model import ARCHITECTURES, ArchitectureKind, default_config
 from cryopower.thermal import heat_budget
 
@@ -116,6 +118,24 @@ class TestDevicesUnderBudget:
         assert devices_under_budget(A.NON_RADIATIVE, worse, 1.0) <= devices_under_budget(
             A.NON_RADIATIVE, cfg, 1.0
         )
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_closed_form_bounded_at_tiny_device_power(self, arch, monkeypatch):
+        # At 1e-12 W per device and B = 1000 W the budget slack admits hundreds
+        # of devices past the root; the search from the root must still take
+        # O(log) loss evaluations and land where bisection does.
+        cfg = replace(default_config(), load=replace(default_config().load, power_per_device=1e-12))
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return architecture_loss_at(*args)
+
+        monkeypatch.setattr(compare, "architecture_loss_at", counting)
+        closed = devices_under_budget(arch, cfg, 1000.0)
+        assert calls <= 64
+        assert closed == devices_under_budget(arch, cfg, 1000.0, method="bisection")
 
     def test_tiny_budget_supports_zero_devices(self):
         assert devices_under_budget(A.WIRED, default_config(), 1e-9) == 0
@@ -384,10 +404,22 @@ class TestOptimize:
 
     def test_parallel_map_identical(self):
         cfg = default_config()
-        serial = optimize(cfg, {"v_rx_hv": (2.0, 100.0)}, A.HV_WIRED, resolution=64)
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            parallel = optimize(cfg, {"v_rx_hv": (2.0, 100.0)}, A.HV_WIRED, resolution=64, map_fn=pool.map)
-        assert serial == parallel
+        for box in ({"v_rx_hv": (2.0, 100.0)}, {"v_rx_hv": (2.0, 100.0), "wire_count": (1, 8)}):
+            serial = optimize(cfg, box, A.HV_WIRED, resolution=64)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                parallel = optimize(cfg, box, A.HV_WIRED, resolution=64, map_fn=pool.map)
+            assert serial == parallel
+
+    def test_cell_dividing_by_zero_raises_like_single_point_path(self):
+        # Switching loss overflows to inf at the top of the rail range, so the
+        # converter efficiency is 0 there and 1/eta divides by zero.
+        cfg = default_config()
+        cfg = replace(cfg, converter=replace(cfg.converter, f_sw=1e300))
+        resolved = resolve_parameters(cfg, A.HV_WIRED, {"v_rx_hv": 1e300})
+        with pytest.raises(ZeroDivisionError):
+            heat_budget(A.HV_WIRED, resolved)
+        with pytest.raises(ZeroDivisionError):
+            optimize(cfg, {"v_rx_hv": (2.0, 1e300)}, A.HV_WIRED, resolution=8)
 
     def test_errors(self):
         cfg = default_config()
