@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .losses import LossBreakdown, architecture_loss_at, carries_converter
+from .losses import LossBreakdown, _coefficients, _Coefficients, architecture_loss_at, carries_converter
 from .model import ARCHITECTURES, ArchitectureKind, SystemConfig
 from .noise import white_floor_ratio
 from .thermal import ThermalBudget, _heat_grid, budget_from_loss, heat_budget
@@ -153,67 +153,57 @@ def sweep_loss(
     return SweepResult(parameter="device_count", points=tuple(points))
 
 
-def _budget_cost(arch: ArchitectureKind, config: SystemConfig, p_rx: float) -> float:
-    return p_rx + architecture_loss_at(arch, config, p_rx).loss_at_cold_stage
-
-
-def _fits_budget(arch: ArchitectureKind, config: SystemConfig, count: int, budget: float) -> bool:
-    p_rx = count * config.load.power_per_device
-    return _budget_cost(arch, config, p_rx) <= budget * (1.0 + _BUDGET_SLACK)
-
-
-def _last_fitting(arch: ArchitectureKind, config: SystemConfig, budget: float, lo: int, hi: int) -> int:
+def _last_fitting(fits: Callable[[int], bool], lo: int, hi: int) -> int:
     """Largest count in [lo, hi) that fits, given that ``lo`` fits and ``hi`` does not."""
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _fits_budget(arch, config, mid, budget):
+        if fits(mid):
             lo = mid
         else:
             hi = mid
     return lo
 
 
-def _closed_form_count(arch: ArchitectureKind, config: SystemConfig, budget: float) -> int:
-    # The cold-entering loss is exactly linear-plus-quadratic in p, so probe
-    # it at p = 1 and p = 2 to recover the coefficients of
-    # cost(p) = b p + c p^2 and solve cost(p*) = budget with the root form
-    # that does not cancel when 4 c B << b^2 (and needs no branch for c = 0).
-    loss1 = architecture_loss_at(arch, config, 1.0).loss_at_cold_stage
-    loss2 = architecture_loss_at(arch, config, 2.0).loss_at_cold_stage
-    c = max(0.0, (loss2 - 2.0 * loss1) / 2.0)
-    b = 1.0 + loss1 - c
+def _closed_form_count(
+    fits: Callable[[int], bool], coefficients: _Coefficients, power_per_device: float, budget: float
+) -> int:
+    # The cost p + cold(p) is b p + c p^2; solve cost(p*) = budget with the
+    # root form that does not cancel when 4 c B << b^2 (and needs no branch
+    # for c = 0).
+    b = 1.0 + coefficients.linear * coefficients.cold_fraction + coefficients.converter
+    c = coefficients.quadratic * coefficients.cold_fraction
     p_star = 2.0 * budget / (b + math.sqrt(b * b + 4.0 * c * budget))
-    estimate = max(0, int(min(p_star / config.load.power_per_device, float(_MAX_DEVICES))))
+    estimate = max(0, int(min(p_star / power_per_device, float(_MAX_DEVICES))))
     # Rounding and the slack put the answer near the estimate, not on it.
     # Most answers are the estimate or the next count, so try those first;
     # otherwise gallop away to a bracket and bisect, in O(log error) steps.
     # Zero devices always fit, as in the bisection solver.
     step = 1
-    if _fits_budget(arch, config, estimate + 1, budget):
+    if fits(estimate + 1):
         lo, hi = estimate + 1, estimate + 2
-        while hi <= _MAX_DEVICES and _fits_budget(arch, config, hi, budget):
+        while hi <= _MAX_DEVICES and fits(hi):
             lo, hi, step = hi, hi + step, 2 * step
-    elif estimate == 0 or _fits_budget(arch, config, estimate, budget):
+    elif estimate == 0 or fits(estimate):
         lo, hi = estimate, estimate + 1
     else:
         lo, hi = max(0, estimate - 1), estimate
-        while lo > 0 and not _fits_budget(arch, config, lo, budget):
+        while lo > 0 and not fits(lo):
             lo, hi, step = max(0, lo - step), lo, 2 * step
-    count = _last_fitting(arch, config, budget, lo, hi)
+    count = _last_fitting(fits, lo, hi)
     if count >= _MAX_DEVICES:
         raise ValueError("device count under budget is unbounded")
     return count
 
 
-def _bisection_count(arch: ArchitectureKind, config: SystemConfig, budget: float) -> int:
+def _bisection_count(fits: Callable[[int], bool]) -> int:
     lo = 0
     hi = 1
-    while _fits_budget(arch, config, hi, budget):
+    while fits(hi):
         lo = hi
         hi *= 2
         if hi > _MAX_DEVICES:
             raise ValueError("device count under budget is unbounded")
-    return _last_fitting(arch, config, budget, lo, hi)
+    return _last_fitting(fits, lo, hi)
 
 
 def devices_under_budget(
@@ -230,16 +220,23 @@ def devices_under_budget(
     """
     if total_budget <= 0:
         raise ValueError(f"total_budget must be > 0, got {total_budget!r}")
-    if config.load.power_per_device <= 0:
+    power_per_device = config.load.power_per_device
+    if power_per_device <= 0:
         raise ValueError(
-            f"power_per_device must be > 0 to bound the device count, "
-            f"got {config.load.power_per_device!r}"
+            f"power_per_device must be > 0 to bound the device count, got {power_per_device!r}"
         )
-    if method == "bisection":
-        return _bisection_count(arch, config, total_budget)
-    if method != "closed_form":
+    if method not in ("closed_form", "bisection"):
         raise ValueError(f"method must be 'closed_form' or 'bisection', got {method!r}")
-    return _closed_form_count(arch, config, total_budget)
+    coefficients = _coefficients(arch, config)
+    limit = total_budget * (1.0 + _BUDGET_SLACK)
+
+    def fits(count: int) -> bool:
+        p_rx = count * power_per_device
+        return p_rx + coefficients.losses(p_rx)[2] <= limit
+
+    if method == "bisection":
+        return _bisection_count(fits)
+    return _closed_form_count(fits, coefficients, power_per_device, total_budget)
 
 
 def equivalent_wire_count(config: SystemConfig, reference: ArchitectureKind) -> float:
@@ -260,8 +257,7 @@ def equivalent_wire_count(config: SystemConfig, reference: ArchitectureKind) -> 
             f"{reference.label} has zero transmission loss at this configuration; "
             "no finite wire count matches it"
         )
-    v = config.load.v_rx
-    single_wire_loss = (p_rx * p_rx) / (v * v) * config.wire.effective_resistance
+    single_wire_loss = _coefficients(ArchitectureKind.WIRED, config, wire_count=1).losses(p_rx)[0]
     return single_wire_loss / reference_loss
 
 
@@ -449,6 +445,9 @@ def optimize(
         if span <= resolution:
             n_grid = list(range(n_lo_i, n_hi_i + 1))
         else:
+            # Samples are rounded in float64 and cast to int64.
+            if float(n_hi_i) >= 2.0**63:
+                raise ValueError(f"wire_count upper bound must be < 2**63 to be sampled, got {n_hi!r}")
             samples = np.rint(np.linspace(n_lo_i, n_hi_i, resolution)).astype(int)
             n_grid = sorted(set(int(n) for n in samples))
     else:

@@ -9,6 +9,7 @@ outside the refrigerator and never load the cold stage.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 from .model import ArchitectureKind, ConverterSpec, SystemConfig
 
@@ -38,14 +39,13 @@ def _check_efficiency(name: str, eta: float) -> None:
         raise ValueError(f"{name} must be in (0, 1], got {eta!r}")
 
 
-def _joule_loss(p, v, r, n):
-    # Shared by the scalar functions and the grid kernel (floats or NumPy
-    # arrays); keeping one operation order keeps both paths bit-identical.
-    return (p * p) / (v * v) * r / n
-
-
-def _efficiency_loss(p, eta):
-    return p * (1.0 / eta - 1.0)
+def _check_rail(v_rx: float, r_wire: float, n_wires: int) -> None:
+    if v_rx <= 0:
+        raise ValueError(f"rail voltage must be > 0, got {v_rx!r}")
+    if r_wire <= 0:
+        raise ValueError(f"wire resistance must be > 0, got {r_wire!r}")
+    if n_wires < 1:
+        raise ValueError(f"wire count must be >= 1, got {n_wires!r}")
 
 
 def wired_loss(p_rx: float, v_rx: float, r_wire: float, n_wires: int) -> float:
@@ -54,13 +54,8 @@ def wired_loss(p_rx: float, v_rx: float, r_wire: float, n_wires: int) -> float:
     Parallel wires divide the effective resistance by ``n_wires``.
     """
     _check_delivered(p_rx)
-    if v_rx <= 0:
-        raise ValueError(f"rail voltage must be > 0, got {v_rx!r}")
-    if r_wire <= 0:
-        raise ValueError(f"wire resistance must be > 0, got {r_wire!r}")
-    if n_wires < 1:
-        raise ValueError(f"wire count must be >= 1, got {n_wires!r}")
-    return _joule_loss(p_rx, v_rx, r_wire, n_wires)
+    _check_rail(v_rx, r_wire, n_wires)
+    return (p_rx * p_rx) / (v_rx * v_rx) * r_wire / n_wires
 
 
 def hv_wired_loss(p_rx: float, v_rx_hv: float, r_wire: float, n_wires: int) -> float:
@@ -73,14 +68,14 @@ def radiative_loss(p_rx: float, eta_rad_r: float, eta_coup_ant: float) -> float:
     _check_delivered(p_rx)
     _check_efficiency("eta_rad_r", eta_rad_r)
     _check_efficiency("eta_coup_ant", eta_coup_ant)
-    return _efficiency_loss(p_rx, eta_rad_r * eta_coup_ant)
+    return p_rx * (1.0 / (eta_rad_r * eta_coup_ant) - 1.0)
 
 
 def nonradiative_loss(p_rx: float, eta_coup_coil: float) -> float:
     """Near-field coil-coupling loss: p_rx * (1 - eta)/eta."""
     _check_delivered(p_rx)
     _check_efficiency("eta_coup_coil", eta_coup_coil)
-    return _efficiency_loss(p_rx, eta_coup_coil)
+    return p_rx * (1.0 / eta_coup_coil - 1.0)
 
 
 def hv_nonradiative_loss(p_rx: float, eta_coup_coil: float) -> float:
@@ -114,7 +109,7 @@ def _buck_efficiency(spec: ConverterSpec, v_in, duty):
 def converter_loss(spec: ConverterSpec, p_rx: float) -> float:
     """Converter dissipation when passing ``p_rx`` watts: p_rx * (1/eta - 1)."""
     _check_delivered(p_rx)
-    return _efficiency_loss(p_rx, dcdc_efficiency(spec))
+    return p_rx * (1.0 / dcdc_efficiency(spec) - 1.0)
 
 
 def carries_converter(arch: ArchitectureKind, spec: ConverterSpec) -> bool:
@@ -131,6 +126,85 @@ def carries_converter(arch: ArchitectureKind, spec: ConverterSpec) -> bool:
     return arch is ArchitectureKind.HV_NON_RADIATIVE and spec.attach_hv_nonradiative
 
 
+class _Coefficients(NamedTuple):
+    """Loss of one architecture as coefficients of the delivered power ``p``.
+
+    ``transmission = p * (linear + p * quadratic)``, ``converter = p * converter``
+    and ``cold = transmission * cold_fraction + converter``: wireless links and
+    the cold converter lose in proportion to ``p``, I^2 R wiring to ``p**2``.
+    Fields are floats, or arrays over the axes given to :func:`_coefficients`.
+    """
+
+    linear: Any
+    quadratic: Any
+    converter: Any
+    cold_fraction: float
+
+    def losses(self, p):
+        """Transmission, converter and cold-stage loss at ``p`` (a float or an array)."""
+        transmission = p * (self.linear + p * self.quadratic)
+        converter = p * self.converter
+        return transmission, converter, transmission * self.cold_fraction + converter
+
+
+def _coefficients(
+    arch: ArchitectureKind,
+    config: SystemConfig,
+    v_rx_hv=None,
+    wire_count=None,
+    couple_converter_input: bool = True,
+    p_rx: float | None = None,
+) -> _Coefficients:
+    """The loss coefficients of ``arch``: the one place that tells the architectures apart.
+
+    ``v_rx_hv`` and ``wire_count`` (floats or arrays that broadcast together)
+    replace the configured values. With coupling on, a given ``v_rx_hv`` sets
+    the converter as ``compare.resolve_parameters`` does: its input tracks the
+    rail, and the stage drops where the rail is at or below ``v_out``. Without
+    replacements, the inputs are checked as the leaf functions check them:
+    resistance mode, then ``p_rx`` if given, then the architecture's own. With
+    them, nothing is checked; callers run one grid cell through the checks first.
+    """
+    wire, load, coup, conv = config.wire, config.load, config.coupling, config.converter
+    checked = v_rx_hv is None and wire_count is None
+    v_hv = load.v_rx_hv if v_rx_hv is None else v_rx_hv
+    n = wire.wire_count if wire_count is None else wire_count
+    r_wire = wire.effective_resistance
+    if p_rx is not None:
+        _check_delivered(p_rx)
+    linear = quadratic = 0.0
+    cold_fraction = coup.loss_to_cold_fraction
+    if arch is ArchitectureKind.WIRED or arch is ArchitectureKind.HV_WIRED:
+        v = load.v_rx if arch is ArchitectureKind.WIRED else v_hv
+        if checked:
+            _check_rail(v, r_wire, n)
+        quadratic, cold_fraction = r_wire / (v * v) / n, 1.0
+    elif arch is ArchitectureKind.RADIATIVE:
+        if checked:
+            _check_efficiency("eta_rad_r", coup.eta_rad_r)
+            _check_efficiency("eta_coup_ant", coup.eta_coup_ant)
+        linear = 1.0 / (coup.eta_rad_r * coup.eta_coup_ant) - 1.0
+    elif arch is ArchitectureKind.NON_RADIATIVE or arch is ArchitectureKind.HV_NON_RADIATIVE:
+        if checked:
+            _check_efficiency("eta_coup_coil", coup.eta_coup_coil)
+        linear = 1.0 / coup.eta_coup_coil - 1.0
+    else:  # pragma: no cover - enum is closed
+        raise TypeError(f"unknown architecture: {arch!r}")
+
+    converter = 0.0
+    if carries_converter(arch, conv):
+        if v_rx_hv is None or not couple_converter_input:
+            converter = 1.0 / dcdc_efficiency(conv) - 1.0
+        else:
+            import numpy as np  # only grid calls reach here
+
+            carried = v_rx_hv > conv.v_out
+            if np.any(carried):  # as in resolve_parameters, only a carried stage checks its spec
+                eta = _buck_efficiency(conv, v_rx_hv, conv.v_out / v_rx_hv)
+                converter = np.where(carried, 1.0 / eta - 1.0, 0.0)
+    return _Coefficients(linear, quadratic, converter, cold_fraction)
+
+
 def architecture_loss_at(
     arch: ArchitectureKind, config: SystemConfig, p_rx: float
 ) -> LossBreakdown:
@@ -141,34 +215,12 @@ def architecture_loss_at(
     Only converter-equipped architectures add converter dissipation, which
     sits at the cold stage in full.
     """
-    wire, load, coup = config.wire, config.load, config.coupling
-    r_eff = wire.effective_resistance
-
-    if arch is ArchitectureKind.WIRED:
-        transmission = wired_loss(p_rx, load.v_rx, r_eff, wire.wire_count)
-        cold_fraction = 1.0
-    elif arch is ArchitectureKind.HV_WIRED:
-        transmission = hv_wired_loss(p_rx, load.v_rx_hv, r_eff, wire.wire_count)
-        cold_fraction = 1.0
-    elif arch is ArchitectureKind.RADIATIVE:
-        transmission = radiative_loss(p_rx, coup.eta_rad_r, coup.eta_coup_ant)
-        cold_fraction = coup.loss_to_cold_fraction
-    elif arch is ArchitectureKind.NON_RADIATIVE:
-        transmission = nonradiative_loss(p_rx, coup.eta_coup_coil)
-        cold_fraction = coup.loss_to_cold_fraction
-    elif arch is ArchitectureKind.HV_NON_RADIATIVE:
-        transmission = hv_nonradiative_loss(p_rx, coup.eta_coup_coil)
-        cold_fraction = coup.loss_to_cold_fraction
-    else:  # pragma: no cover - enum is closed
-        raise TypeError(f"unknown architecture: {arch!r}")
-
-    conv_loss = converter_loss(config.converter, p_rx) if carries_converter(arch, config.converter) else 0.0
-    cold = transmission * cold_fraction + conv_loss
+    transmission, converter, cold = _coefficients(arch, config, p_rx=p_rx).losses(p_rx)
     return LossBreakdown(
         architecture=arch,
         delivered_power=p_rx,
         transmission_loss=transmission,
-        converter_loss=conv_loss,
+        converter_loss=converter,
         loss_at_cold_stage=cold,
     )
 

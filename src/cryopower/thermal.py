@@ -13,15 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .losses import (
-    LossBreakdown,
-    _buck_efficiency,
-    _efficiency_loss,
-    _joule_loss,
-    architecture_loss_at,
-    carries_converter,
-    dcdc_efficiency,
-)
+from .losses import LossBreakdown, _coefficients, architecture_loss_at
 from .model import ArchitectureKind, SystemConfig
 
 
@@ -119,40 +111,17 @@ def _heat_grid(
     """The fields of :func:`heat_budget_at` over a broadcast grid, in one pass.
 
     ``p_rx``, ``v_rx_hv`` and ``wire_count`` are floats or NumPy arrays that
-    broadcast together; ``None`` keeps the configured value. A given
-    ``v_rx_hv`` sets the converter as ``compare.resolve_parameters`` does:
-    with coupling on, a converter-carrying architecture's converter input
-    tracks the rail (duty ``v_out / v_rx_hv``) and the stage drops where the
-    rail is at or below ``v_out``. Every value repeats the scalar formulas in
-    their operation order, so each cell is bit-identical to the scalar path
-    at that point. The kernel skips the scalar path's input checks: callers
-    run one grid cell through it first. Where a cell divides a nonzero value
-    by zero (the scalar path raises ``ZeroDivisionError`` there, unless the
-    division sits in a converter branch it never takes), the kernel raises
-    ``FloatingPointError``.
+    broadcast together; ``None`` keeps the configured value. The loss comes
+    from the coefficient record the scalar path reads, in the same operation
+    order, so each cell is bit-identical to the scalar path at that point.
+    Given axes are not checked (see :func:`cryopower.losses._coefficients`).
+    Where a cell divides a nonzero value by zero (the scalar path raises
+    ``ZeroDivisionError`` there, unless the division sits in a converter
+    branch it never takes), the kernel raises ``FloatingPointError``.
     """
-    wire, load, coup, conv = config.wire, config.load, config.coupling, config.converter
-    n = wire.wire_count if wire_count is None else wire_count
-    v = load.v_rx_hv if v_rx_hv is None else v_rx_hv
+    n = config.wire.wire_count if wire_count is None else wire_count
     with np.errstate(divide="raise", over="ignore", under="ignore", invalid="ignore"):
-        if arch is ArchitectureKind.WIRED:
-            transmission = _joule_loss(p_rx, load.v_rx, wire.effective_resistance, n)
-        elif arch is ArchitectureKind.HV_WIRED:
-            transmission = _joule_loss(p_rx, v, wire.effective_resistance, n)
-        elif arch is ArchitectureKind.RADIATIVE:
-            transmission = _efficiency_loss(p_rx, coup.eta_rad_r * coup.eta_coup_ant)
-        else:
-            transmission = _efficiency_loss(p_rx, coup.eta_coup_coil)
-        cold_fraction = coup.loss_to_cold_fraction if arch.is_wireless else 1.0
-        converter = 0.0
-        if carries_converter(arch, conv):
-            if v_rx_hv is None or not couple_converter_input:
-                converter = _efficiency_loss(p_rx, dcdc_efficiency(conv))
-            else:
-                carried = v > conv.v_out
-                if np.any(carried):  # as in the scalar path, only a carried stage checks its spec
-                    eta = _buck_efficiency(conv, v, conv.v_out / v)
-                    converter = np.where(carried, _efficiency_loss(p_rx, eta), 0.0)
-        cold = transmission * cold_fraction + converter
+        coefficients = _coefficients(arch, config, v_rx_hv, wire_count, couple_converter_input)
+        transmission, converter, cold = coefficients.losses(p_rx)
         p_load, q_total, cop = _stage_heat(arch, config, cold, n)
         return _HeatGrid(transmission, converter, cold, p_load, q_total, cop, q_total / cop)

@@ -109,6 +109,21 @@ class TestCompareSubcommand:
             assert csv_row["power_density"] == json_row["power_density"]
 
 
+    @pytest.mark.parametrize(
+        "power, message",
+        [("0.0", "power_per_device must be > 0"), ("1e-300", "device count under budget is unbounded")],
+    )
+    def test_budget_solver_errors_are_malformed(self, power, message, tmp_path, capsys):
+        path = tmp_path / "load.cfg"
+        path.write_text(f"load.power_per_device = {power}\n")
+        code = main(["compare", "--config", str(path), "--budget", "1.0"])
+        captured = capsys.readouterr()
+        assert code == EXIT_BAD_INVOCATION
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert message in captured.err
+
+
 class TestSweepSubcommand:
     def test_device_count_long_format(self):
         code, out, _ = invoke("sweep", "--param", "device_count", "--from", "1", "--to", "5", "--steps", "5")
@@ -215,6 +230,15 @@ class TestOptimizeSubcommand:
         code, _, err = invoke("optimize", "--arch", "wired", "--free", "magic", "0", "1")
         assert code == EXIT_BAD_INVOCATION
         assert "magic" in err
+
+    @pytest.mark.parametrize("hi", ["9.3e18", "1e30"])
+    def test_unsampleable_wire_count_bound(self, hi, capsys):
+        code = main(["optimize", "--arch", "wired", "--free", "wire_count", "1", hi, "--resolution", "50"])
+        captured = capsys.readouterr()
+        assert code == EXIT_BAD_INVOCATION
+        assert captured.out == ""
+        assert captured.err.startswith("error: wire_count upper bound")
+        assert repr(float(hi)) in captured.err
 
     def test_duplicate_free_parameter(self):
         code, _, err = invoke(

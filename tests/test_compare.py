@@ -1,12 +1,12 @@
 """Comparison-engine tests: sweeps, budget solving, wire equivalence, scorecard, optimizer."""
 
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
 
-from cryopower import compare
 from cryopower.compare import (
     devices_under_budget,
     default_score_table,
@@ -17,7 +17,7 @@ from cryopower.compare import (
     scorecard,
     sweep_loss,
 )
-from cryopower.losses import architecture_loss_at
+from cryopower.losses import _Coefficients
 from cryopower.model import ARCHITECTURES, ArchitectureKind, default_config
 from cryopower.thermal import heat_budget
 
@@ -126,13 +126,14 @@ class TestDevicesUnderBudget:
         # O(log) loss evaluations and land where bisection does.
         cfg = replace(default_config(), load=replace(default_config().load, power_per_device=1e-12))
         calls = 0
+        losses = _Coefficients.losses
 
         def counting(*args):
             nonlocal calls
             calls += 1
-            return architecture_loss_at(*args)
+            return losses(*args)
 
-        monkeypatch.setattr(compare, "architecture_loss_at", counting)
+        monkeypatch.setattr(_Coefficients, "losses", counting)
         closed = devices_under_budget(arch, cfg, 1000.0)
         assert calls <= 64
         assert closed == devices_under_budget(arch, cfg, 1000.0, method="bisection")
@@ -420,6 +421,19 @@ class TestOptimize:
             heat_budget(A.HV_WIRED, resolved)
         with pytest.raises(ZeroDivisionError):
             optimize(cfg, {"v_rx_hv": (2.0, 1e300)}, A.HV_WIRED, resolution=8)
+
+    @pytest.mark.parametrize("hi", [9.3e18, 1e30])
+    def test_unsampleable_wire_count_bound_rejected(self, hi):
+        # Sampled wire counts are rounded in float64 and cast to int64.
+        with pytest.raises(ValueError, match=f"wire_count upper bound .*{re.escape(repr(hi))}"):
+            optimize(default_config(), {"wire_count": (1, hi)}, A.WIRED, resolution=50)
+
+    def test_largest_sampleable_wire_count_bound(self):
+        top = 2.0**63 - 1024  # the float below 2**63
+        result = optimize(default_config(), {"wire_count": (1, top)}, A.WIRED, resolution=50)
+        assert result.parameters == {"wire_count": 1}
+        assert result.evaluations == 50
+        assert optimize(default_config(), {"wire_count": (1, 1e18)}, A.WIRED, resolution=50) == result
 
     def test_errors(self):
         cfg = default_config()
