@@ -170,7 +170,7 @@ def _closed_form_count(
     # The cost p + cold(p) is b p + c p^2; solve cost(p*) = budget with the
     # root form that does not cancel when 4 c B << b^2 (and needs no branch
     # for c = 0).
-    b = 1.0 + coefficients.linear * coefficients.cold_fraction + coefficients.converter
+    b = 1.0 + coefficients.linear * coefficients.cold_fraction + (coefficients.converter or 0.0)
     c = coefficients.quadratic * coefficients.cold_fraction
     p_star = 2.0 * budget / (b + math.sqrt(b * b + 4.0 * c * budget))
     estimate = max(0, int(min(p_star / power_per_device, float(_MAX_DEVICES))))
@@ -227,16 +227,15 @@ def devices_under_budget(
         )
     if method not in ("closed_form", "bisection"):
         raise ValueError(f"method must be 'closed_form' or 'bisection', got {method!r}")
-    coefficients = _coefficients(arch, config)
     limit = total_budget * (1.0 + _BUDGET_SLACK)
 
     def fits(count: int) -> bool:
         p_rx = count * power_per_device
-        return p_rx + coefficients.losses(p_rx)[2] <= limit
+        return p_rx + architecture_loss_at(arch, config, p_rx).loss_at_cold_stage <= limit
 
     if method == "bisection":
         return _bisection_count(fits)
-    return _closed_form_count(fits, coefficients, power_per_device, total_budget)
+    return _closed_form_count(fits, _coefficients(arch, config), power_per_device, total_budget)
 
 
 def equivalent_wire_count(config: SystemConfig, reference: ArchitectureKind) -> float:
@@ -257,7 +256,8 @@ def equivalent_wire_count(config: SystemConfig, reference: ArchitectureKind) -> 
             f"{reference.label} has zero transmission loss at this configuration; "
             "no finite wire count matches it"
         )
-    single_wire_loss = _coefficients(ArchitectureKind.WIRED, config, wire_count=1).losses(p_rx)[0]
+    one_wire = _coefficients(ArchitectureKind.WIRED, config, wire_count=1, check=False)
+    single_wire_loss = one_wire.losses(p_rx)[0]
     return single_wire_loss / reference_loss
 
 

@@ -129,21 +129,32 @@ def carries_converter(arch: ArchitectureKind, spec: ConverterSpec) -> bool:
 class _Coefficients(NamedTuple):
     """Loss of one architecture as coefficients of the delivered power ``p``.
 
-    ``transmission = p * (linear + p * quadratic)``, ``converter = p * converter``
-    and ``cold = transmission * cold_fraction + converter``: wireless links and
-    the cold converter lose in proportion to ``p``, I^2 R wiring to ``p**2``.
-    Fields are floats, or arrays over the axes given to :func:`_coefficients`.
+    A wireless link loses ``p * linear``, an I^2 R rail (``rail`` is None for
+    a link) ``(p/rail)^2 * resistance / wires`` and the cold converter
+    ``p * converter`` (None without a stage); the cold stage takes
+    ``transmission * cold_fraction + converter``. Fields are floats, or arrays
+    over the axes given to :func:`_coefficients`.
     """
 
-    linear: Any
-    quadratic: Any
+    linear: float
+    rail: Any
+    resistance: float
+    wires: Any
     converter: Any
     cold_fraction: float
 
+    @property
+    def quadratic(self):
+        """Transmission per watt squared: ``r / v^2 / n`` for a rail, 0 for a link."""
+        return 0.0 if self.rail is None else self.resistance / (self.rail * self.rail) / self.wires
+
     def losses(self, p):
-        """Transmission, converter and cold-stage loss at ``p`` (a float or an array)."""
-        transmission = p * (self.linear + p * self.quadratic)
-        converter = p * self.converter
+        """Transmission, converter and cold-stage loss at ``p``, in the leaf functions' order."""
+        if self.rail is None:
+            transmission = p * self.linear
+        else:
+            transmission = (p * p) / (self.rail * self.rail) * self.resistance / self.wires
+        converter = 0.0 if self.converter is None else p * self.converter
         return transmission, converter, transmission * self.cold_fraction + converter
 
 
@@ -153,45 +164,41 @@ def _coefficients(
     v_rx_hv=None,
     wire_count=None,
     couple_converter_input: bool = True,
-    p_rx: float | None = None,
+    check: bool = True,
 ) -> _Coefficients:
     """The loss coefficients of ``arch``: the one place that tells the architectures apart.
 
     ``v_rx_hv`` and ``wire_count`` (floats or arrays that broadcast together)
     replace the configured values. With coupling on, a given ``v_rx_hv`` sets
     the converter as ``compare.resolve_parameters`` does: its input tracks the
-    rail, and the stage drops where the rail is at or below ``v_out``. Without
-    replacements, the inputs are checked as the leaf functions check them:
-    resistance mode, then ``p_rx`` if given, then the architecture's own. With
-    them, nothing is checked; callers run one grid cell through the checks first.
+    rail, and the stage drops where the rail is at or below ``v_out``. With
+    ``check``, the architecture's inputs are checked as its leaf functions
+    check them, after the resistance mode. The grid kernel passes
+    ``check=False``; its callers run one point through the scalar path first.
     """
     wire, load, coup, conv = config.wire, config.load, config.coupling, config.converter
-    checked = v_rx_hv is None and wire_count is None
     v_hv = load.v_rx_hv if v_rx_hv is None else v_rx_hv
     n = wire.wire_count if wire_count is None else wire_count
     r_wire = wire.effective_resistance
-    if p_rx is not None:
-        _check_delivered(p_rx)
-    linear = quadratic = 0.0
-    cold_fraction = coup.loss_to_cold_fraction
+    linear, rail, cold_fraction = 0.0, None, coup.loss_to_cold_fraction
     if arch is ArchitectureKind.WIRED or arch is ArchitectureKind.HV_WIRED:
-        v = load.v_rx if arch is ArchitectureKind.WIRED else v_hv
-        if checked:
-            _check_rail(v, r_wire, n)
-        quadratic, cold_fraction = r_wire / (v * v) / n, 1.0
+        rail = load.v_rx if arch is ArchitectureKind.WIRED else v_hv
+        if check:
+            _check_rail(rail, r_wire, n)
+        cold_fraction = 1.0
     elif arch is ArchitectureKind.RADIATIVE:
-        if checked:
+        if check:
             _check_efficiency("eta_rad_r", coup.eta_rad_r)
             _check_efficiency("eta_coup_ant", coup.eta_coup_ant)
         linear = 1.0 / (coup.eta_rad_r * coup.eta_coup_ant) - 1.0
     elif arch is ArchitectureKind.NON_RADIATIVE or arch is ArchitectureKind.HV_NON_RADIATIVE:
-        if checked:
+        if check:
             _check_efficiency("eta_coup_coil", coup.eta_coup_coil)
         linear = 1.0 / coup.eta_coup_coil - 1.0
     else:  # pragma: no cover - enum is closed
         raise TypeError(f"unknown architecture: {arch!r}")
 
-    converter = 0.0
+    converter = None
     if carries_converter(arch, conv):
         if v_rx_hv is None or not couple_converter_input:
             converter = 1.0 / dcdc_efficiency(conv) - 1.0
@@ -202,7 +209,7 @@ def _coefficients(
             if np.any(carried):  # as in resolve_parameters, only a carried stage checks its spec
                 eta = _buck_efficiency(conv, v_rx_hv, conv.v_out / v_rx_hv)
                 converter = np.where(carried, 1.0 / eta - 1.0, 0.0)
-    return _Coefficients(linear, quadratic, converter, cold_fraction)
+    return _Coefficients(linear, rail, r_wire, n, converter, cold_fraction)
 
 
 def architecture_loss_at(
@@ -215,7 +222,9 @@ def architecture_loss_at(
     Only converter-equipped architectures add converter dissipation, which
     sits at the cold stage in full.
     """
-    transmission, converter, cold = _coefficients(arch, config, p_rx=p_rx).losses(p_rx)
+    config.wire.effective_resistance  # raises first on a bad resistance mode, as the leaf path did
+    _check_delivered(p_rx)
+    transmission, converter, cold = _coefficients(arch, config).losses(p_rx)
     return LossBreakdown(
         architecture=arch,
         delivered_power=p_rx,

@@ -114,14 +114,14 @@ def _heat_grid(
     broadcast together; ``None`` keeps the configured value. The loss comes
     from the coefficient record the scalar path reads, in the same operation
     order, so each cell is bit-identical to the scalar path at that point.
-    Given axes are not checked (see :func:`cryopower.losses._coefficients`).
+    Inputs are not checked (see :func:`cryopower.losses._coefficients`).
     Where a cell divides a nonzero value by zero (the scalar path raises
     ``ZeroDivisionError`` there, unless the division sits in a converter
     branch it never takes), the kernel raises ``FloatingPointError``.
     """
     n = config.wire.wire_count if wire_count is None else wire_count
     with np.errstate(divide="raise", over="ignore", under="ignore", invalid="ignore"):
-        coefficients = _coefficients(arch, config, v_rx_hv, wire_count, couple_converter_input)
+        coefficients = _coefficients(arch, config, v_rx_hv, wire_count, couple_converter_input, check=False)
         transmission, converter, cold = coefficients.losses(p_rx)
         p_load, q_total, cop = _stage_heat(arch, config, cold, n)
         return _HeatGrid(transmission, converter, cold, p_load, q_total, cop, q_total / cop)

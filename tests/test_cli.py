@@ -48,6 +48,31 @@ class TestEvaluateSubcommand:
         assert row["architecture"] == "wired"
         assert row["device_count"] == "200"
 
+    @pytest.mark.parametrize(
+        "arch, transmission, converter, cold",
+        [
+            ("wired", "0.0", "0.0", "0.0"),
+            ("hv_wired", "0.0", "-0.0", "0.0"),
+            ("radiative", "-0.0", "0.0", "0.0"),
+            ("non_radiative", "-0.0", "0.0", "0.0"),
+            ("hv_non_radiative", "-0.0", "-0.0", "-0.0"),
+        ],
+    )
+    def test_negative_zero_load_keeps_leaf_formula_signs(self, arch, transmission, converter, cold, tmp_path):
+        # validate accepts power_per_device = -0.0. A rail's (p*p)/(v*v)*r/n
+        # and an absent converter read 0.0; p*(1/eta - 1) keeps the sign of p.
+        path = tmp_path / "system.cfg"
+        path.write_text("load.power_per_device = -0.0\nconverter.attach_hv_nonradiative = true\n")
+        code, out, _ = invoke("evaluate", "--arch", arch, "--config", str(path))
+        assert code == EXIT_OK
+        (row,) = read_csv(out)
+        assert row["delivered_power_w"] == "-0.0"
+        assert (row["transmission_loss_w"], row["converter_loss_w"], row["loss_at_cold_stage_w"]) == (
+            transmission,
+            converter,
+            cold,
+        )
+
     def test_devices_override_wins_over_config(self, tmp_path):
         path = tmp_path / "system.cfg"
         path.write_text("load.device_count = 50\n")

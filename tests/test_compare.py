@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+from cryopower import compare
 from cryopower.compare import (
     devices_under_budget,
     default_score_table,
@@ -17,7 +18,7 @@ from cryopower.compare import (
     scorecard,
     sweep_loss,
 )
-from cryopower.losses import _Coefficients
+from cryopower.losses import architecture_loss_at
 from cryopower.model import ARCHITECTURES, ArchitectureKind, default_config
 from cryopower.thermal import heat_budget
 
@@ -126,14 +127,13 @@ class TestDevicesUnderBudget:
         # O(log) loss evaluations and land where bisection does.
         cfg = replace(default_config(), load=replace(default_config().load, power_per_device=1e-12))
         calls = 0
-        losses = _Coefficients.losses
 
         def counting(*args):
             nonlocal calls
             calls += 1
-            return losses(*args)
+            return architecture_loss_at(*args)
 
-        monkeypatch.setattr(_Coefficients, "losses", counting)
+        monkeypatch.setattr(compare, "architecture_loss_at", counting)
         closed = devices_under_budget(arch, cfg, 1000.0)
         assert calls <= 64
         assert closed == devices_under_budget(arch, cfg, 1000.0, method="bisection")
