@@ -14,15 +14,15 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-import numpy as np
-
 from .compare import (
     FREE_PARAMETER_NAMES,
     ArchitectureEvaluation,
+    _linspace,
     evaluate_architecture,
     devices_under_budget,
     optimize,
@@ -258,6 +258,8 @@ def _sweep_values(config: SystemConfig, param: str, start: float, stop: float, s
     path = "load.device_count" if param == "device_count" else param
     if path not in config_paths():
         raise CliError(f"unknown sweep parameter: {param!r}", EXIT_BAD_INVOCATION)
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise CliError(f"bounds for {param!r} must be finite, got [{start!r}, {stop!r}]", EXIT_BAD_INVOCATION)
     if stop < start:
         raise CliError(f"sweep range is inverted: from {start!r} to {stop!r}", EXIT_BAD_INVOCATION)
     from .configio import get_value
@@ -265,11 +267,11 @@ def _sweep_values(config: SystemConfig, param: str, start: float, stop: float, s
     leaf = get_value(config, path)
     if isinstance(leaf, bool) or isinstance(leaf, str):
         raise CliError(f"sweep parameter must be numeric: {param!r}", EXIT_BAD_INVOCATION)
-    raw = np.linspace(start, stop, steps)
+    raw = _linspace(start, stop, steps)
     if isinstance(leaf, int):
         values: list[Any] = sorted(set(int(round(x)) for x in raw))
     else:
-        values = sorted(set(float(x) for x in raw))
+        values = sorted(set(raw))
     if not values:
         raise CliError("sweep produced no values", EXIT_BAD_INVOCATION)
     return path, values

@@ -12,10 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from importlib import resources
 from typing import Callable, Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .losses import LossBreakdown, _coefficients, _Coefficients, architecture_loss_at, carries_converter
 from .model import ARCHITECTURES, ArchitectureKind, SystemConfig
@@ -118,6 +115,8 @@ def sweep_loss(
             raise ValueError(f"device_counts must be strictly increasing, got {prev} then {cur}")
     if device_counts[0] < 1:
         raise ValueError(f"device counts must be >= 1, got {device_counts[0]}")
+
+    import numpy as np  # loaded on first grid call, off the CLI cold path
 
     # The kernel skips input checks; the single-point path raises them here.
     first = _with_device_count(config, int(device_counts[0]))
@@ -263,6 +262,8 @@ def equivalent_wire_count(config: SystemConfig, reference: ArchitectureKind) -> 
 
 def default_score_table() -> dict[str, dict[str, str]]:
     """Bundled qualitative scores for the non-computed comparison rows."""
+    from importlib import resources
+
     text = resources.files("cryopower").joinpath("data/default_scores.json").read_text("utf-8")
     return json.loads(text)
 
@@ -379,6 +380,27 @@ def _golden_refine(
     return best_x, best_f
 
 
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """``num >= 1`` evenly spaced floats from ``start`` to ``stop``.
+
+    Repeats ``numpy.linspace``'s float64 arithmetic element for element, so
+    the grid equals ``numpy.linspace(start, stop, num).tolist()`` bit for bit
+    without loading numpy.
+    """
+    start, stop = float(start), float(stop)
+    delta = stop - start
+    if num == 1:
+        return [0.0 * delta + start]
+    div = num - 1
+    step = delta / div
+    if step == 0:  # a span of a few subnormals: divide before scaling
+        values = [i / div * delta + start for i in range(num)]
+    else:
+        values = [i * step + start for i in range(num)]
+    values[-1] = stop
+    return values
+
+
 def optimize(
     config: SystemConfig,
     free_parameters: Mapping[str, tuple[float, float]],
@@ -430,7 +452,7 @@ def optimize(
         if v_lo == v_hi:
             v_grid = [float(v_lo)]
         else:
-            v_grid = [float(x) for x in np.linspace(v_lo, v_hi, resolution)]
+            v_grid = _linspace(v_lo, v_hi, resolution)
     else:
         v_grid = [None]
 
@@ -445,11 +467,10 @@ def optimize(
         if span <= resolution:
             n_grid = list(range(n_lo_i, n_hi_i + 1))
         else:
-            # Samples are rounded in float64 and cast to int64.
+            # Samples are rounded half-to-even in float64; counts stay within int64.
             if float(n_hi_i) >= 2.0**63:
                 raise ValueError(f"wire_count upper bound must be < 2**63 to be sampled, got {n_hi!r}")
-            samples = np.rint(np.linspace(n_lo_i, n_hi_i, resolution)).astype(int)
-            n_grid = sorted(set(int(n) for n in samples))
+            n_grid = sorted(set(int(round(x)) for x in _linspace(n_lo_i, n_hi_i, resolution)))
     else:
         n_grid = [None]
 
@@ -471,6 +492,8 @@ def optimize(
         if n is not None:
             params["wire_count"] = n
         return params
+
+    import numpy as np  # loaded on first grid call, off the CLI cold path
 
     p_rx = config.load.delivered_power
     v_axis = None if v_grid[0] is None else np.array(v_grid)

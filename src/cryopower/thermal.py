@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .losses import LossBreakdown, _coefficients, architecture_loss_at
 from .model import ArchitectureKind, SystemConfig
 
@@ -119,6 +117,8 @@ def _heat_grid(
     ``ZeroDivisionError`` there, unless the division sits in a converter
     branch it never takes), the kernel raises ``FloatingPointError``.
     """
+    import numpy as np  # loaded on first grid call, off the CLI cold path
+
     n = config.wire.wire_count if wire_count is None else wire_count
     with np.errstate(divide="raise", over="ignore", under="ignore", invalid="ignore"):
         coefficients = _coefficients(arch, config, v_rx_hv, wire_count, couple_converter_input, check=False)

@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,6 +214,16 @@ class TestSweepSubcommand:
         code, _, _ = invoke("sweep", "--from", "0", "--to", "10", "--steps", "2")
         assert code == EXIT_BAD_INVOCATION
 
+    @pytest.mark.parametrize("param", ["device_count", "converter.f_sw"])
+    @pytest.mark.parametrize("start, stop", [("1", "1e400"), ("1", "inf"), ("nan", "10"), ("-inf", "inf")])
+    def test_non_finite_bounds_are_malformed(self, param, start, stop, capsys):
+        code = main(["sweep", "--param", param, f"--from={start}", f"--to={stop}", "--steps", "3"])
+        captured = capsys.readouterr()
+        assert code == EXIT_BAD_INVOCATION
+        assert captured.out == ""
+        bounds = f"[{float(start)!r}, {float(stop)!r}]"
+        assert captured.err == f"error: bounds for {param!r} must be finite, got {bounds}\n"
+
 
 class TestOptimizeSubcommand:
     def test_single_free_parameter(self):
@@ -367,3 +381,37 @@ class TestConfigRoundTripThroughCli:
         _, out, _ = invoke("evaluate", "--arch", "wired", "--config", str(path), "--devices", "200")
         (row,) = read_csv(out)
         assert row["transmission_loss_w"] == "3.0"
+
+
+_COLD_PATH_SCRIPT = """
+import sys
+
+if "numpy" in sys.modules:
+    sys.exit(77)  # the interpreter preloads numpy; nothing to check
+import cryopower
+from cryopower import cli
+
+for argv in (
+    ["defaults"],
+    ["evaluate", "--arch", "hv_wired"],
+    ["compare", "--devices", "200", "--budget", "1.0"],
+    ["sweep", "--param", "converter.f_sw", "--from", "1e5", "--to", "2e6", "--steps", "4"],
+):
+    assert cli.main(argv) == 0, argv
+assert "numpy" not in sys.modules, "numpy loaded on the cold path"
+assert cli.main(["sweep", "--from", "1", "--to", "500", "--steps", "7"]) == 0
+assert cli.main(["optimize", "--arch", "hv_wired", "--free", "v_rx_hv", "2", "100", "--resolution", "60"]) == 0
+"""
+
+
+class TestColdPath:
+    def test_point_subcommands_never_load_numpy(self):
+        # This process has loaded numpy already, so the check runs in a fresh interpreter.
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", _COLD_PATH_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+        )
+        if proc.returncode == 77:
+            pytest.skip("the interpreter loads numpy at start-up")
+        assert proc.returncode == 0, proc.stderr

@@ -5,7 +5,10 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cryopower import compare
 from cryopower.compare import (
@@ -309,6 +312,34 @@ class TestResolveParameters:
             resolve_parameters(default_config(), A.WIRED, {"frequency": 1.0})
         with pytest.raises(ValueError, match="v_rx_hv"):
             resolve_parameters(default_config(), A.HV_WIRED, {"v_rx_hv": 1.0})
+
+
+_SUBNORMAL = 5e-324
+
+
+@st.composite
+def _linspace_bounds(draw) -> tuple[float, float]:
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    kind = draw(st.sampled_from(["any", "equal", "subnormal", "overflow"]))
+    if kind == "equal":
+        x = draw(finite)
+        return x, x
+    if kind == "subnormal":  # a span of a few subnormals: numpy's step == 0 branch
+        k = draw(st.integers(-(10**6), 10**6))
+        return k * _SUBNORMAL, (k + draw(st.integers(0, 40))) * _SUBNORMAL
+    if kind == "overflow":  # stop - start overflows to inf
+        return draw(st.floats(-1.7e308, -1e308)), draw(st.floats(1e308, 1.7e308))
+    a, b = draw(finite), draw(finite)
+    return min(a, b), max(a, b)
+
+
+class TestLinspace:
+    @given(_linspace_bounds(), st.integers(1, 2000))
+    def test_matches_numpy_bit_for_bit(self, bounds, num):
+        start, stop = bounds
+        with np.errstate(all="ignore"):
+            expected = np.linspace(start, stop, num).tolist()
+        assert [x.hex() for x in compare._linspace(start, stop, num)] == [x.hex() for x in expected]
 
 
 class TestOptimize:
