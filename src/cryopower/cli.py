@@ -13,21 +13,26 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
+import operator
 import sys
-from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Sequence
+
+try:  # json.encoder's own string encoder, without importing json's decoder and scanner
+    from _json import encode_basestring_ascii
+except ImportError:  # pragma: no cover - interpreters without CPython's accelerator
+    from json.encoder import encode_basestring_ascii
 
 from .compare import (
     FREE_PARAMETER_NAMES,
     ArchitectureEvaluation,
+    _cell_trace,
     _linspace,
+    _optimize,
+    _sweep_cells,
     evaluate_architecture,
     devices_under_budget,
-    optimize,
     scorecard,
-    sweep_loss,
 )
 from .configio import ConfigError, config_paths, parse_config, serialize_config, set_value
 from .model import ARCHITECTURES, ArchitectureKind, SystemConfig, default_config, validate
@@ -47,34 +52,68 @@ class CliError(Exception):
         self.code = code
 
 
-@dataclass(frozen=True)
-class CliInvocation:
-    """A fully parsed command line: subcommand plus its options."""
-
-    subcommand: str
-    config_path: str | None
-    output_format: str
-    options: Mapping[str, Any]
-
-
-def _fmt(value: Any) -> str:
-    # Shortest round-trip decimal representation for floats.
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _csv_document(header: list[str], rows: list[list[Any]]) -> str:
+def _csv_document(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+    # The csv module writes floats with repr, the shortest round-trip form.
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(cell) for cell in row])
+    writer.writerows(rows)
     return buffer.getvalue()
 
 
+# The JSON writers below lay a document out as json.dumps(payload, indent=2)
+# does, byte for byte, but build each object from a template whose keys are
+# encoded once; the sweep writes thousands of objects of one shape.
+
+_JSON_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_leaf(value: Any) -> str:
+    """One JSON scalar as ``json.dumps`` writes it."""
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return text if math.isfinite(value) else _JSON_FLOAT_NAMES[text]
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_object(keys: Sequence[str], depth: int) -> str:
+    """A ``%`` template of an object with ``keys`` at nesting ``depth``: one ``%s`` per value."""
+    if not keys:
+        return "{}"
+    pad = "\n" + "  " * (depth + 1)
+    members = (f"{pad}{encode_basestring_ascii(key).replace('%', '%%')}: %s" for key in keys)
+    return "{" + ",".join(members) + "\n" + "  " * depth + "}"
+
+
+def _json_array(items: Sequence[str], depth: int) -> str:
+    """An array of already written ``items`` at nesting ``depth``."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+
+
+def _json_value(value: Any, depth: int = 0) -> str:
+    """``json.dumps(value, indent=2)`` for string-keyed dicts, lists, tuples and scalars."""
+    if isinstance(value, dict):
+        return _json_object(tuple(value), depth) % tuple(_json_value(item, depth + 1) for item in value.values())
+    if isinstance(value, (list, tuple)):
+        return _json_array([_json_value(item, depth + 1) for item in value], depth)
+    return _json_leaf(value)
+
+
 def _json_document(payload: Any) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return _json_value(payload) + "\n"
 
 
 def _positive_float(text: str) -> float:
@@ -164,26 +203,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_invocation(argv: list[str] | None = None) -> CliInvocation:
-    namespace = build_parser().parse_args(argv)
-    options = vars(namespace).copy()
-    subcommand = options.pop("subcommand")
-    config_path = options.pop("config", None)
-    output_format = options.pop("output_format", "csv")
-    return CliInvocation(
-        subcommand=subcommand,
-        config_path=config_path,
-        output_format=output_format,
-        options=options,
-    )
+def parse_invocation(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse a command line into the namespace :func:`run` executes."""
+    return build_parser().parse_args(argv)
 
 
-def _load_config(invocation: CliInvocation) -> SystemConfig:
-    if invocation.config_path is None:
+def _load_config(args: argparse.Namespace) -> SystemConfig:
+    if args.config is None:
         config = default_config()
     else:
         try:
-            with open(invocation.config_path, "r", encoding="utf-8") as handle:
+            with open(args.config, "r", encoding="utf-8") as handle:
                 text = handle.read()
         except OSError as exc:
             raise CliError(f"cannot read config file: {exc}", EXIT_IO_ERROR) from exc
@@ -218,16 +248,16 @@ def _evaluation_fields(evaluation: ArchitectureEvaluation) -> dict[str, Any]:
     }
 
 
-def _run_evaluate(invocation: CliInvocation) -> str:
-    config = _load_config(invocation)
-    if invocation.options.get("devices") is not None:
-        config = set_value(config, "load.device_count", invocation.options["devices"])
+def _run_evaluate(args: argparse.Namespace) -> str:
+    config = _load_config(args)
+    if args.devices is not None:
+        config = set_value(config, "load.device_count", args.devices)
         _require_valid(config)
-    arch = ArchitectureKind.from_label(invocation.options["arch"])
+    arch = ArchitectureKind.from_label(args.arch)
     evaluation = evaluate_architecture(arch, config)
     fields = _evaluation_fields(evaluation)
     noise_ratio = white_floor_ratio(arch, config)
-    if invocation.output_format == "json":
+    if args.output_format == "json":
         payload = {
             "architecture": arch.label,
             "device_count": config.load.device_count,
@@ -268,6 +298,12 @@ def _sweep_values(config: SystemConfig, param: str, start: float, stop: float, s
     if isinstance(leaf, bool) or isinstance(leaf, str):
         raise CliError(f"sweep parameter must be numeric: {param!r}", EXIT_BAD_INVOCATION)
     raw = _linspace(start, stop, steps)
+    if not all(map(math.isfinite, raw)):
+        # stop - start overflows, so the grid's first element is 0 * inf + start
+        raise CliError(
+            f"sweep span for {param!r} overflows: [{start!r}, {stop!r}] gives non-finite values",
+            EXIT_BAD_INVOCATION,
+        )
     if isinstance(leaf, int):
         values: list[Any] = sorted(set(int(round(x)) for x in raw))
     else:
@@ -277,75 +313,84 @@ def _sweep_values(config: SystemConfig, param: str, start: float, stop: float, s
     return path, values
 
 
-def _run_sweep(invocation: CliInvocation) -> str:
-    config = _load_config(invocation)
-    options = invocation.options
-    path, values = _sweep_values(
-        config, options["param"], options["start"], options["stop"], options["steps"]
-    )
+# A sweep's rows: one per swept value and architecture, value-major. The CSV
+# document shows a subset of the columns; the JSON document groups the rows
+# by value.
+_SWEEP_COLUMNS = (
+    "value",
+    "architecture",
+    "transmission_loss_w",
+    "converter_loss_w",
+    "loss_at_cold_stage_w",
+    "q_total_w",
+    "cooling_power_w",
+)
+_SWEEP_CSV_COLUMNS = ("value", "architecture", "transmission_loss_w", "q_total_w", "cooling_power_w")
 
+
+def _sweep_rows(config: SystemConfig, path: str, values: list[Any]) -> list[tuple]:
+    rows = []
     if path == "load.device_count":
-        if values[0] < 1:
-            raise CliError(
-                f"device_count sweep must start at >= 1, got {values[0]}", EXIT_BAD_INVOCATION
+        # Python floats from one coefficient record per architecture: no NumPy, no result objects.
+        columns = _sweep_cells(config, values)
+        for i, count in enumerate(values):
+            for label, column in zip(ARCH_LABELS, columns):
+                transmission, converter, cold, _, q_total, _, cooling = column[i]
+                rows.append((count, label, transmission, converter, cold, q_total, cooling))
+        return rows
+    for value in values:
+        point_config = set_value(config, path, value)
+        _require_valid(point_config)
+        for arch in ARCHITECTURES:
+            evaluation = evaluate_architecture(arch, point_config)
+            loss, thermal = evaluation.loss, evaluation.thermal
+            rows.append(
+                (
+                    value,
+                    arch.label,
+                    loss.transmission_loss,
+                    loss.converter_loss,
+                    loss.loss_at_cold_stage,
+                    thermal.q_total,
+                    thermal.cooling_power,
+                )
             )
-        result = sweep_loss(config, values)
-        points = [(point.value, point.evaluations) for point in result.points]
-        parameter = result.parameter
-    else:
-        parameter = path
-        points = []
-        for value in values:
-            point_config = set_value(config, path, value)
-            _require_valid(point_config)
-            points.append(
-                (value, tuple(evaluate_architecture(arch, point_config) for arch in ARCHITECTURES))
-            )
-
-    if invocation.output_format == "json":
-        payload = {
-            "parameter": parameter,
-            "points": [
-                {
-                    "value": value,
-                    "architectures": [
-                        {
-                            "architecture": evaluation.architecture.label,
-                            "transmission_loss_w": evaluation.loss.transmission_loss,
-                            "converter_loss_w": evaluation.loss.converter_loss,
-                            "loss_at_cold_stage_w": evaluation.loss.loss_at_cold_stage,
-                            "q_total_w": evaluation.thermal.q_total,
-                            "cooling_power_w": evaluation.thermal.cooling_power,
-                        }
-                        for evaluation in evaluations
-                    ],
-                }
-                for value, evaluations in points
-            ],
-        }
-        return _json_document(payload)
-    header = ["parameter", "value", "architecture", "transmission_loss_w", "q_total_w", "cooling_power_w"]
-    rows = [
-        [
-            parameter,
-            value,
-            evaluation.architecture.label,
-            evaluation.loss.transmission_loss,
-            evaluation.thermal.q_total,
-            evaluation.thermal.cooling_power,
-        ]
-        for value, evaluations in points
-        for evaluation in evaluations
-    ]
-    return _csv_document(header, rows)
+    return rows
 
 
-def _run_compare(invocation: CliInvocation) -> str:
-    config = _load_config(invocation)
-    devices = invocation.options.get("devices") or config.load.device_count
+def _sweep_json(parameter: str, rows: list[tuple]) -> str:
+    """The sweep's JSON document: its rows grouped into one point per swept value."""
+    leaf = _json_leaf
+    architecture = _json_object(_SWEEP_COLUMNS[1:], 4)
+    point = _json_object(("value", "architectures"), 2)
+    width = len(ARCHITECTURES)
+    points = []
+    for start in range(0, len(rows), width):
+        group = rows[start : start + width]
+        objects = [architecture % tuple(map(leaf, row[1:])) for row in group]
+        points.append(point % (leaf(group[0][0]), _json_array(objects, 3)))
+    return _json_object(("parameter", "points"), 0) % (leaf(parameter), _json_array(points, 1)) + "\n"
+
+
+def _run_sweep(args: argparse.Namespace) -> str:
+    config = _load_config(args)
+    path, values = _sweep_values(config, args.param, args.start, args.stop, args.steps)
+    if path == "load.device_count" and values[0] < 1:
+        raise CliError(f"device_count sweep must start at >= 1, got {values[0]}", EXIT_BAD_INVOCATION)
+    parameter = "device_count" if path == "load.device_count" else path
+    rows = _sweep_rows(config, path, values)
+    if args.output_format == "json":
+        return _sweep_json(parameter, rows)
+    pick = operator.itemgetter(*(_SWEEP_COLUMNS.index(name) for name in _SWEEP_CSV_COLUMNS))
+    return _csv_document(("parameter",) + _SWEEP_CSV_COLUMNS, [(parameter, *pick(row)) for row in rows])
+
+
+def _run_compare(args: argparse.Namespace) -> str:
+    config = _load_config(args)
+    devices = args.devices or config.load.device_count
     if devices < 1:
         raise CliError(f"compare needs a device count >= 1, got {devices}", EXIT_BAD_INVOCATION)
-    budget = invocation.options.get("budget")
+    budget = args.budget
     report = scorecard(config, devices)
     counts = None
     if budget is not None:
@@ -367,7 +412,7 @@ def _run_compare(invocation: CliInvocation) -> str:
         if counts is not None:
             entry["devices_under_budget"] = counts[row.architecture]
         rows.append(entry)
-    if invocation.output_format == "json":
+    if args.output_format == "json":
         payload: dict[str, Any] = {"device_count": report.device_count, "rows": rows}
         if budget is not None:
             payload["budget_w"] = budget
@@ -375,11 +420,11 @@ def _run_compare(invocation: CliInvocation) -> str:
     return _csv_document(list(rows[0]), [list(entry.values()) for entry in rows])
 
 
-def _run_optimize(invocation: CliInvocation) -> str:
-    config = _load_config(invocation)
-    arch = ArchitectureKind.from_label(invocation.options["arch"])
+def _run_optimize(args: argparse.Namespace) -> str:
+    config = _load_config(args)
+    arch = ArchitectureKind.from_label(args.arch)
     free: dict[str, tuple[float, float]] = {}
-    for name, lo_text, hi_text in invocation.options["free"]:
+    for name, lo_text, hi_text in args.free:
         if name in free:
             raise CliError(f"free parameter {name!r} given twice", EXIT_BAD_INVOCATION)
         try:
@@ -388,17 +433,20 @@ def _run_optimize(invocation: CliInvocation) -> str:
             raise CliError(f"invalid bounds for {name!r}: {exc}", EXIT_BAD_INVOCATION) from exc
         free[name] = (lo, hi)
     try:
-        result = optimize(
+        # The grid is scanned on Python floats: no NumPy import for a few thousand cells.
+        result = _optimize(
             config,
             free,
             arch,
-            resolution=invocation.options["resolution"],
-            couple_converter_input=not invocation.options["no_converter_coupling"],
+            "cooling_power",
+            args.resolution,
+            not args.no_converter_coupling,
+            _cell_trace,
         )
     except ValueError as exc:
         raise CliError(str(exc), EXIT_BAD_INVOCATION) from exc
     param_names = [name for name in FREE_PARAMETER_NAMES if name in result.parameters]
-    if invocation.output_format == "json":
+    if args.output_format == "json":
         payload = {
             "architecture": result.architecture.label,
             "objective": result.objective,
@@ -420,31 +468,31 @@ def _run_optimize(invocation: CliInvocation) -> str:
     return _csv_document(header, [row])
 
 
-def run(invocation: CliInvocation) -> tuple[int, str, str]:
-    """Execute one invocation; returns (exit status, stdout document, stderr text)."""
+def run(args: argparse.Namespace) -> tuple[int, str, str]:
+    """Execute a parsed command line; returns (exit status, stdout document, stderr text)."""
     try:
-        if invocation.subcommand == "defaults":
+        if args.subcommand == "defaults":
             return EXIT_OK, serialize_config(default_config()), ""
-        if invocation.subcommand == "evaluate":
-            return EXIT_OK, _run_evaluate(invocation), ""
-        if invocation.subcommand == "sweep":
-            return EXIT_OK, _run_sweep(invocation), ""
-        if invocation.subcommand == "compare":
-            return EXIT_OK, _run_compare(invocation), ""
-        if invocation.subcommand == "optimize":
-            return EXIT_OK, _run_optimize(invocation), ""
-        return EXIT_BAD_INVOCATION, "", f"error: unknown subcommand {invocation.subcommand!r}\n"
+        if args.subcommand == "evaluate":
+            return EXIT_OK, _run_evaluate(args), ""
+        if args.subcommand == "sweep":
+            return EXIT_OK, _run_sweep(args), ""
+        if args.subcommand == "compare":
+            return EXIT_OK, _run_compare(args), ""
+        if args.subcommand == "optimize":
+            return EXIT_OK, _run_optimize(args), ""
+        return EXIT_BAD_INVOCATION, "", f"error: unknown subcommand {args.subcommand!r}\n"
     except CliError as exc:
         return exc.code, "", f"error: {exc}\n"
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        invocation = parse_invocation(argv)
+        args = parse_invocation(argv)
     except SystemExit as exc:
         # argparse exits 2 on malformed invocations and 0 on --help
         return int(exc.code or 0)
-    code, out, err = run(invocation)
+    code, out, err = run(args)
     if out:
         sys.stdout.write(out)
     if err:

@@ -9,19 +9,19 @@ supported device count; delivered power alone would rank them identically.
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .losses import LossBreakdown, _coefficients, _Coefficients, architecture_loss_at, carries_converter
+from .losses import LossBreakdown, _coefficients, architecture_loss_at, carries_converter
 from .model import ARCHITECTURES, ArchitectureKind, SystemConfig
 from .noise import white_floor_ratio
-from .thermal import ThermalBudget, _heat_grid, budget_from_loss, heat_budget
+from .thermal import ThermalBudget, _heat_grid, _heat_rows, budget_from_loss, heat_budget
 
 # Relative slack absorbing last-ulp rounding when an operating point lands
-# exactly on the budget boundary; the next integer device always overshoots
-# by far more than this.
+# exactly on the budget boundary. The solvers cap it at half of what one
+# more device adds there, so that it never admits a device that does not fit.
 _BUDGET_SLACK = 1e-12
 
 # Both budget solvers raise once this many devices fit.
@@ -93,6 +93,26 @@ def evaluate_architecture(arch: ArchitectureKind, config: SystemConfig) -> Archi
     return ArchitectureEvaluation(loss=loss, thermal=budget_from_loss(config, loss))
 
 
+def _device_axis(config: SystemConfig, device_counts: Sequence[int]) -> list[int]:
+    """The checked device counts of a sweep, as ints.
+
+    The grid evaluators skip input checks, so the first count also runs
+    through :func:`evaluate_architecture` and an invalid config raises the
+    single-point path's error.
+    """
+    if not device_counts:
+        raise ValueError("device_counts must be nonempty")
+    for prev, cur in zip(device_counts, list(device_counts)[1:]):
+        if cur <= prev:
+            raise ValueError(f"device_counts must be strictly increasing, got {prev} then {cur}")
+    if device_counts[0] < 1:
+        raise ValueError(f"device counts must be >= 1, got {device_counts[0]}")
+    first = _with_device_count(config, int(device_counts[0]))
+    for arch in ARCHITECTURES:
+        evaluate_architecture(arch, first)
+    return [int(count) for count in device_counts]
+
+
 def sweep_loss(
     config: SystemConfig,
     device_counts: Sequence[int],
@@ -108,21 +128,10 @@ def sweep_loss(
     call over the five architectures and may be replaced by a pool's map;
     results are assembled in input order either way.
     """
-    if not device_counts:
-        raise ValueError("device_counts must be nonempty")
-    for prev, cur in zip(device_counts, list(device_counts)[1:]):
-        if cur <= prev:
-            raise ValueError(f"device_counts must be strictly increasing, got {prev} then {cur}")
-    if device_counts[0] < 1:
-        raise ValueError(f"device counts must be >= 1, got {device_counts[0]}")
+    counts = _device_axis(config, device_counts)
 
     import numpy as np  # loaded on first grid call, off the CLI cold path
 
-    # The kernel skips input checks; the single-point path raises them here.
-    first = _with_device_count(config, int(device_counts[0]))
-    for arch in ARCHITECTURES:
-        evaluate_architecture(arch, first)
-    counts = [int(count) for count in device_counts]
     p_rx = [config.load.power_per_device * count for count in counts]
     p_axis = np.array(p_rx)
     stage = config.stage
@@ -152,6 +161,18 @@ def sweep_loss(
     return SweepResult(parameter="device_count", points=tuple(points))
 
 
+def _sweep_cells(config: SystemConfig, device_counts: Sequence[int]) -> list[list[tuple]]:
+    """The values of :func:`sweep_loss` on Python floats, without NumPy or result objects.
+
+    Per architecture (in :data:`ARCHITECTURES` order), one tuple of
+    :class:`cryopower.thermal._HeatGrid` fields per device count, each
+    bit-identical to :func:`sweep_loss` at that count.
+    """
+    counts = _device_axis(config, device_counts)
+    p_rx = [config.load.power_per_device * count for count in counts]
+    return [_heat_rows(arch, config, p_rx) for arch in ARCHITECTURES]
+
+
 def _last_fitting(fits: Callable[[int], bool], lo: int, hi: int) -> int:
     """Largest count in [lo, hi) that fits, given that ``lo`` fits and ``hi`` does not."""
     while hi - lo > 1:
@@ -164,14 +185,12 @@ def _last_fitting(fits: Callable[[int], bool], lo: int, hi: int) -> int:
 
 
 def _closed_form_count(
-    fits: Callable[[int], bool], coefficients: _Coefficients, power_per_device: float, budget: float
+    fits: Callable[[int], bool], b: float, discriminant: float, power_per_device: float, budget: float
 ) -> int:
-    # The cost p + cold(p) is b p + c p^2; solve cost(p*) = budget with the
-    # root form that does not cancel when 4 c B << b^2 (and needs no branch
-    # for c = 0).
-    b = 1.0 + coefficients.linear * coefficients.cold_fraction + (coefficients.converter or 0.0)
-    c = coefficients.quadratic * coefficients.cold_fraction
-    p_star = 2.0 * budget / (b + math.sqrt(b * b + 4.0 * c * budget))
+    # The cost p + cold(p) is b p + c p^2 and discriminant = sqrt(b^2 + 4 c B);
+    # solve cost(p*) = budget with the root form that does not cancel when
+    # 4 c B << b^2 (and needs no branch for c = 0).
+    p_star = 2.0 * budget / (b + discriminant)
     estimate = max(0, int(min(p_star / power_per_device, float(_MAX_DEVICES))))
     # Rounding and the slack put the answer near the estimate, not on it.
     # Most answers are the estimate or the next count, so try those first;
@@ -215,7 +234,9 @@ def devices_under_budget(
 
     ``method`` selects the solver: the closed form (quadratic for wired
     rails, linear for wireless links) or integer bisection on the monotone
-    feasibility predicate. Both agree on every configuration.
+    feasibility predicate. Both agree on every configuration. A count fits
+    when its cost is within a slack of the budget that absorbs rounding:
+    ``1e-12`` of the budget, capped at half the cost of one more device there.
     """
     if total_budget <= 0:
         raise ValueError(f"total_budget must be > 0, got {total_budget!r}")
@@ -226,7 +247,14 @@ def devices_under_budget(
         )
     if method not in ("closed_form", "bisection"):
         raise ValueError(f"method must be 'closed_form' or 'bisection', got {method!r}")
-    limit = total_budget * (1.0 + _BUDGET_SLACK)
+    # The cost p + cold(p) is b p + c p^2. At the boundary cost(p*) = B one
+    # more device adds power_per_device * (b + 2 c p*), which is
+    # power_per_device * discriminant.
+    coefficients = _coefficients(arch, config)
+    b = 1.0 + coefficients.linear * coefficients.cold_fraction + (coefficients.converter or 0.0)
+    c = coefficients.quadratic * coefficients.cold_fraction
+    discriminant = math.sqrt(b * b + 4.0 * c * total_budget)
+    limit = min(total_budget * (1.0 + _BUDGET_SLACK), total_budget + 0.5 * power_per_device * discriminant)
 
     def fits(count: int) -> bool:
         p_rx = count * power_per_device
@@ -234,7 +262,7 @@ def devices_under_budget(
 
     if method == "bisection":
         return _bisection_count(fits)
-    return _closed_form_count(fits, _coefficients(arch, config), power_per_device, total_budget)
+    return _closed_form_count(fits, b, discriminant, power_per_device, total_budget)
 
 
 def equivalent_wire_count(config: SystemConfig, reference: ArchitectureKind) -> float:
@@ -262,6 +290,7 @@ def equivalent_wire_count(config: SystemConfig, reference: ArchitectureKind) -> 
 
 def default_score_table() -> dict[str, dict[str, str]]:
     """Bundled qualitative scores for the non-computed comparison rows."""
+    import json
     from importlib import resources
 
     text = resources.files("cryopower").joinpath("data/default_scores.json").read_text("utf-8")
@@ -287,9 +316,11 @@ def scorecard(
     Loss, heat, cooling power, and the high-frequency noise ratio are
     computed from the models; power density and reliability are ordinal
     scores taken from ``score_table`` (the bundled table by default). Rows
-    are sorted by cooling power ascending. Note the computed orderings are
-    statements about large operating points; at a handful of devices the
-    quadratic wire loss is smaller than every wireless link's linear loss.
+    are sorted by cooling power ascending. At a handful of devices the
+    quadratic wire loss is smaller than every wireless link's linear loss
+    (below 13 devices at the defaults), but the wire conduction load still
+    dominates the cooling power: at the defaults and one device wired needs
+    222.07 W of cooling against 0.925 W for the coil links and ranks 4th of 5.
     """
     if operating_device_count < 1:
         raise ValueError(f"operating_device_count must be >= 1, got {operating_device_count!r}")
@@ -401,6 +432,84 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
     return values
 
 
+def _free_params(v: float | None, n: int | None) -> dict[str, float | int]:
+    params: dict[str, float | int] = {}
+    if v is not None:
+        params["v_rx_hv"] = v
+    if n is not None:
+        params["wire_count"] = n
+    return params
+
+
+def _point_cooling(
+    config: SystemConfig, arch: ArchitectureKind, params: Mapping[str, float | int], couple_converter_input: bool
+) -> float:
+    """Cooling power at one free-parameter assignment, through the single-point path."""
+    return heat_budget(arch, resolve_parameters(config, arch, params, couple_converter_input)).cooling_power
+
+
+_GridTrace = list[tuple[dict[str, float | int], float]]
+
+
+def _kernel_trace(
+    config: SystemConfig,
+    arch: ArchitectureKind,
+    v_grid: list,
+    n_grid: list,
+    couple_converter_input: bool,
+    map_fn: Callable[..., Iterable] = map,
+) -> _GridTrace:
+    """The grid's strict improvements over the running minimum, in v-major scan order.
+
+    One grid-kernel call per wire count, each over the whole ``v_rx_hv``
+    axis, mapped by ``map_fn``. NaN cells never improve, as ``value < best``
+    skips them.
+    """
+    import numpy as np  # loaded on first grid call, off the CLI cold path
+
+    p_rx = config.load.delivered_power
+    v_axis = None if v_grid[0] is None else np.array(v_grid)
+
+    def _row(n: int | None) -> np.ndarray:
+        cooling = _heat_grid(arch, config, p_rx, v_axis, n, couple_converter_input).cooling_power
+        return np.broadcast_to(cooling, (len(v_grid),))
+
+    try:
+        values = np.stack(list(map_fn(_row, n_grid)), axis=1).ravel()
+    except FloatingPointError:
+        # A cell divides by zero: the single-point path raises there too, or
+        # the division sits in a converter branch that it never takes.
+        values = np.array(
+            [_point_cooling(config, arch, _free_params(v, n), couple_converter_input) for v in v_grid for n in n_grid]
+        )
+    running = np.fmin.accumulate(np.concatenate(([math.inf], values)))[:-1]
+    return [
+        (_free_params(v_grid[i // len(n_grid)], n_grid[i % len(n_grid)]), float(values[i]))
+        for i in np.flatnonzero(values < running)
+    ]
+
+
+def _cell_trace(
+    config: SystemConfig, arch: ArchitectureKind, v_grid: list, n_grid: list, couple_converter_input: bool
+) -> _GridTrace:
+    """:func:`_kernel_trace` on Python floats, one cell at a time, without NumPy.
+
+    Each cell is bit-identical to the kernel's; a cell that divides by zero
+    raises ``ZeroDivisionError`` where the kernel's fallback to the
+    single-point path raises it.
+    """
+    p_rx = (config.load.delivered_power,)
+    trace: _GridTrace = []
+    best = math.inf
+    for v in v_grid:
+        for n in n_grid:
+            value = _heat_rows(arch, config, p_rx, v, n, couple_converter_input)[0][-1]
+            if value < best:
+                trace.append((_free_params(v, n), value))
+                best = value
+    return trace
+
+
 def optimize(
     config: SystemConfig,
     free_parameters: Mapping[str, tuple[float, float]],
@@ -426,6 +535,24 @@ def optimize(
     :func:`cryopower.thermal.heat_budget`); the first grid cell also runs
     through it, so an invalid config raises the same error. The
     golden-section refinement evaluates the single-point path.
+    """
+    grid_trace = functools.partial(_kernel_trace, map_fn=map_fn)
+    return _optimize(config, free_parameters, arch, objective, resolution, couple_converter_input, grid_trace)
+
+
+def _optimize(
+    config: SystemConfig,
+    free_parameters: Mapping[str, tuple[float, float]],
+    arch: ArchitectureKind,
+    objective: str,
+    resolution: int,
+    couple_converter_input: bool,
+    grid_trace: Callable[..., _GridTrace],
+) -> OptimizationResult:
+    """:func:`optimize` with the grid scanned by ``grid_trace``.
+
+    ``grid_trace`` is :func:`_kernel_trace` (NumPy) or :func:`_cell_trace`
+    (Python floats); both give the same result.
     """
     if objective != "cooling_power":
         raise ValueError(f"unsupported objective {objective!r}")
@@ -474,50 +601,16 @@ def optimize(
     else:
         n_grid = [None]
 
-    def _cooling(params: dict[str, float | int]) -> float:
-        point = resolve_parameters(config, arch, params, couple_converter_input)
-        return heat_budget(arch, point).cooling_power
-
     evaluations = len(v_grid) * len(n_grid)
 
     def _objective(params: dict[str, float | int]) -> float:
         nonlocal evaluations
         evaluations += 1
-        return _cooling(params)
+        return _point_cooling(config, arch, params, couple_converter_input)
 
-    def _params_for(v: float | None, n: int | None) -> dict[str, float | int]:
-        params: dict[str, float | int] = {}
-        if v is not None:
-            params["v_rx_hv"] = v
-        if n is not None:
-            params["wire_count"] = n
-        return params
-
-    import numpy as np  # loaded on first grid call, off the CLI cold path
-
-    p_rx = config.load.delivered_power
-    v_axis = None if v_grid[0] is None else np.array(v_grid)
-
-    def _row(n: int | None) -> np.ndarray:
-        cooling = _heat_grid(arch, config, p_rx, v_axis, n, couple_converter_input).cooling_power
-        return np.broadcast_to(cooling, (len(v_grid),))
-
-    # The kernel skips input checks; the single-point path raises them here.
-    _cooling(_params_for(v_grid[0], n_grid[0]))
-    try:
-        values = np.stack(list(map_fn(_row, n_grid)), axis=1).ravel()
-    except FloatingPointError:
-        # A cell divides by zero: the single-point path raises there too, or
-        # the division sits in a converter branch that it never takes.
-        values = np.array([_cooling(_params_for(v, n)) for v in v_grid for n in n_grid])
-
-    # Strict improvements over the running minimum in v-major scan order,
-    # with NaN skipped as `value < best` skips it.
-    running = np.fmin.accumulate(np.concatenate(([math.inf], values)))[:-1]
-    trace: list[tuple[dict[str, float | int], float]] = [
-        (_params_for(v_grid[i // len(n_grid)], n_grid[i % len(n_grid)]), float(values[i]))
-        for i in np.flatnonzero(values < running)
-    ]
+    # The grid evaluators skip input checks; the single-point path raises them here.
+    _point_cooling(config, arch, _free_params(v_grid[0], n_grid[0]), couple_converter_input)
+    trace = grid_trace(config, arch, v_grid, n_grid, couple_converter_input)
     assert trace
     best_params, best_value = dict(trace[-1][0]), trace[-1][1]
 
@@ -528,11 +621,11 @@ def optimize(
         fixed_n = best_params.get("wire_count")
 
         def _axis(v: float) -> float:
-            return _objective(_params_for(float(v), fixed_n))
+            return _objective(_free_params(float(v), fixed_n))
 
         tol = 1e-10 * max(1.0, abs(hi))
         x, fx = _golden_refine(_axis, lo, hi, tol)
-        refined = _params_for(float(x), fixed_n)
+        refined = _free_params(float(x), fixed_n)
         if fx < best_value or (fx == best_value and x < best_params["v_rx_hv"]):
             best_params, best_value = refined, fx
             trace.append((dict(refined), fx))

@@ -171,7 +171,8 @@ def _coefficients(
     ``v_rx_hv`` and ``wire_count`` (floats or arrays that broadcast together)
     replace the configured values. With coupling on, a given ``v_rx_hv`` sets
     the converter as ``compare.resolve_parameters`` does: its input tracks the
-    rail, and the stage drops where the rail is at or below ``v_out``. With
+    rail, and the stage drops where the rail is at or below ``v_out`` (a float
+    rail then gives no stage, an array rail a 0.0 coefficient there). With
     ``check``, the architecture's inputs are checked as its leaf functions
     check them, after the resistance mode. The grid kernel passes
     ``check=False``; its callers run one point through the scalar path first.
@@ -202,8 +203,11 @@ def _coefficients(
     if carries_converter(arch, conv):
         if v_rx_hv is None or not couple_converter_input:
             converter = 1.0 / dcdc_efficiency(conv) - 1.0
+        elif isinstance(v_rx_hv, float):  # one rail: a carried stage, or none
+            if v_rx_hv > conv.v_out:
+                converter = 1.0 / _buck_efficiency(conv, v_rx_hv, conv.v_out / v_rx_hv) - 1.0
         else:
-            import numpy as np  # only grid calls reach here
+            import numpy as np  # only array grids reach here
 
             carried = v_rx_hv > conv.v_out
             if np.any(carried):  # as in resolve_parameters, only a carried stage checks its spec

@@ -98,6 +98,13 @@ class _HeatGrid(NamedTuple):
     cooling_power: float | np.ndarray
 
 
+def _heat_fields(arch: ArchitectureKind, config: SystemConfig, coefficients, p_rx, wire_count) -> tuple:
+    """The :class:`_HeatGrid` fields at ``p_rx`` from a coefficient record (floats or arrays)."""
+    transmission, converter, cold = coefficients.losses(p_rx)
+    p_load, q_total, cop = _stage_heat(arch, config, cold, wire_count)
+    return transmission, converter, cold, p_load, q_total, cop, q_total / cop
+
+
 def _heat_grid(
     arch: ArchitectureKind,
     config: SystemConfig,
@@ -122,6 +129,26 @@ def _heat_grid(
     n = config.wire.wire_count if wire_count is None else wire_count
     with np.errstate(divide="raise", over="ignore", under="ignore", invalid="ignore"):
         coefficients = _coefficients(arch, config, v_rx_hv, wire_count, couple_converter_input, check=False)
-        transmission, converter, cold = coefficients.losses(p_rx)
-        p_load, q_total, cop = _stage_heat(arch, config, cold, n)
-        return _HeatGrid(transmission, converter, cold, p_load, q_total, cop, q_total / cop)
+        return _HeatGrid(*_heat_fields(arch, config, coefficients, p_rx, n))
+
+
+def _heat_rows(
+    arch: ArchitectureKind,
+    config: SystemConfig,
+    p_rx,
+    v_rx_hv: float | None = None,
+    wire_count: int | None = None,
+    couple_converter_input: bool = True,
+) -> list[tuple]:
+    """:func:`_heat_grid` on Python floats, without NumPy: one tuple of its fields per power.
+
+    ``p_rx`` is a sequence of delivered powers; ``v_rx_hv`` and
+    ``wire_count`` are one rail and one wire count (``None`` keeps the
+    configured value). The record is built once and every row is
+    bit-identical to the scalar path at that point. Inputs are not checked;
+    where a cell divides by zero this raises ``ZeroDivisionError``, as the
+    scalar path does.
+    """
+    n = config.wire.wire_count if wire_count is None else wire_count
+    coefficients = _coefficients(arch, config, v_rx_hv, wire_count, couple_converter_input, check=False)
+    return [_heat_fields(arch, config, coefficients, p, n) for p in p_rx]

@@ -8,18 +8,24 @@ import subprocess
 import sys
 from pathlib import Path
 
+import math
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cryopower.cli import (
     EXIT_BAD_INVOCATION,
     EXIT_INVALID_CONFIG,
     EXIT_IO_ERROR,
     EXIT_OK,
+    _json_value,
+    _sweep_json,
     main,
     parse_invocation,
     run,
 )
-from cryopower.compare import evaluate_architecture
+from cryopower.compare import FREE_PARAMETER_NAMES, evaluate_architecture, optimize, sweep_loss
 from cryopower.configio import parse_config, serialize_config
 from cryopower.model import ArchitectureKind, default_config
 
@@ -224,6 +230,170 @@ class TestSweepSubcommand:
         bounds = f"[{float(start)!r}, {float(stop)!r}]"
         assert captured.err == f"error: bounds for {param!r} must be finite, got {bounds}\n"
 
+    @pytest.mark.parametrize("param", ["device_count", "converter.f_sw"])
+    @pytest.mark.parametrize("steps", ["1", "3"])
+    def test_overflowing_span_is_malformed(self, param, steps, capsys):
+        # Finite bounds whose difference overflows: the grid's first element is 0 * inf + start.
+        code = main(["sweep", "--param", param, "--from=-1e308", "--to=1e308", "--steps", steps])
+        captured = capsys.readouterr()
+        assert code == EXIT_BAD_INVOCATION
+        assert captured.out == ""
+        assert captured.err == f"error: sweep span for {param!r} overflows: [-1e+308, 1e+308] gives non-finite values\n"
+
+
+def reference_csv(header, rows):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(cell) if isinstance(cell, float) else str(cell) for cell in row])
+    return buffer.getvalue()
+
+
+def reference_device_sweep(config, counts, output_format):
+    """A device sweep document built from the library's sweep_loss, with json.dumps and csv."""
+    result = sweep_loss(config, counts)
+    if output_format == "json":
+        payload = {
+            "parameter": result.parameter,
+            "points": [
+                {
+                    "value": point.value,
+                    "architectures": [
+                        {
+                            "architecture": e.architecture.label,
+                            "transmission_loss_w": e.loss.transmission_loss,
+                            "converter_loss_w": e.loss.converter_loss,
+                            "loss_at_cold_stage_w": e.loss.loss_at_cold_stage,
+                            "q_total_w": e.thermal.q_total,
+                            "cooling_power_w": e.thermal.cooling_power,
+                        }
+                        for e in point.evaluations
+                    ],
+                }
+                for point in result.points
+            ],
+        }
+        return json.dumps(payload, indent=2) + "\n"
+    header = ["parameter", "value", "architecture", "transmission_loss_w", "q_total_w", "cooling_power_w"]
+    rows = [
+        [result.parameter, point.value, e.architecture.label, e.loss.transmission_loss, e.thermal.q_total, e.thermal.cooling_power]
+        for point in result.points
+        for e in point.evaluations
+    ]
+    return reference_csv(header, rows)
+
+
+def reference_optimize(config, free, arch, resolution, couple, output_format):
+    """An optimize document built from the library's optimize, with json.dumps and csv."""
+    result = optimize(config, free, arch, resolution=resolution, couple_converter_input=couple)
+    names = [name for name in FREE_PARAMETER_NAMES if name in result.parameters]
+    if output_format == "json":
+        payload = {
+            "architecture": result.architecture.label,
+            "objective": result.objective,
+            "parameters": {name: result.parameters[name] for name in names},
+            "cooling_power_w": result.objective_value,
+            "evaluations": result.evaluations,
+            "trace": [{"parameters": dict(params), "cooling_power_w": value} for params, value in result.trace],
+        }
+        return json.dumps(payload, indent=2) + "\n"
+    row = [result.architecture.label] + [result.parameters[name] for name in names]
+    return reference_csv(["architecture"] + names + ["cooling_power_w", "evaluations"], [row + [result.objective_value, result.evaluations]])
+
+
+# Configs whose documents carry negative zeros, overflowed cooling and a converter on the coil link.
+GRID_CONFIGS = {
+    "default": "",
+    "negative_zero_load": "load.power_per_device = -0.0\nconverter.attach_hv_nonradiative = true\n",
+    "overflowing_load": "load.power_per_device = 5e151\n",
+    "hv_coil_converter": "converter.attach_hv_nonradiative = true\nwire.resistance_mode = mean\n",
+}
+
+
+class TestGridDocuments:
+    """The CLI's NumPy-free grid path writes the documents the library's kernel results give."""
+
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    @pytest.mark.parametrize("name", GRID_CONFIGS)
+    def test_device_sweep_matches_library(self, name, output_format, tmp_path):
+        path = tmp_path / "system.cfg"
+        path.write_text(GRID_CONFIGS[name])
+        code, out, err = invoke("sweep", "--from", "1", "--to", "300", "--steps", "41", "--config", str(path), "--format", output_format)
+        assert (code, err) == (EXIT_OK, "")
+        counts = sorted({int(round(1 + i * (299 / 40))) for i in range(41)})
+        assert out == reference_device_sweep(parse_config(GRID_CONFIGS[name]), counts, output_format)
+
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    @pytest.mark.parametrize("couple", [True, False])
+    @pytest.mark.parametrize("arch", ["hv_wired", "hv_non_radiative"])
+    @pytest.mark.parametrize("name", GRID_CONFIGS)
+    def test_optimize_matches_library(self, name, arch, couple, output_format, tmp_path):
+        path = tmp_path / "system.cfg"
+        path.write_text(GRID_CONFIGS[name])
+        argv = ["optimize", "--arch", arch, "--free", "v_rx_hv", "2", "80", "--free", "wire_count", "1", "4"]
+        argv += ["--resolution", "25", "--config", str(path), "--format", output_format]
+        if not couple:
+            argv.append("--no-converter-coupling")
+        code, out, err = invoke(*argv)
+        assert (code, err) == (EXIT_OK, "")
+        free = {"v_rx_hv": (2.0, 80.0), "wire_count": (1.0, 4.0)}
+        config = parse_config(GRID_CONFIGS[name])
+        expected = reference_optimize(config, free, ArchitectureKind.from_label(arch), 25, couple, output_format)
+        assert out == expected
+
+
+json_leaves = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.2e-308, 1e308, -1e-308, 1.7976931348623157e308]),
+    st.integers(-(2**80), 2**80),
+    st.sampled_from([2**53 + 1, -(2**63), 2**64]),
+    st.text(),
+    st.booleans(),
+    st.none(),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.tuples(children, children),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestJsonWriter:
+    @given(json_values)
+    def test_matches_json_dumps(self, payload):
+        assert _json_value(payload) == json.dumps(payload, indent=2)
+
+    @given(
+        st.one_of(st.text(), st.just("device_count")),
+        st.lists(
+            st.tuples(st.one_of(st.integers(1, 2**64), st.floats()), st.text(), *[json_leaves] * 5),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_sweep_document_matches_json_dumps(self, parameter, points):
+        # Five rows per swept value, as the sweep writes them.
+        rows = [(value, label, *fields) for value, label, *fields in points for _ in range(5)]
+        payload = {
+            "parameter": parameter,
+            "points": [
+                {
+                    "value": rows[start][0],
+                    "architectures": [
+                        dict(zip(("architecture", "transmission_loss_w", "converter_loss_w", "loss_at_cold_stage_w", "q_total_w", "cooling_power_w"), row[1:]))
+                        for row in rows[start : start + 5]
+                    ],
+                }
+                for start in range(0, len(rows), 5)
+            ],
+        }
+        assert _sweep_json(parameter, rows) == json.dumps(payload, indent=2) + "\n"
+
 
 class TestOptimizeSubcommand:
     def test_single_free_parameter(self):
@@ -396,11 +566,13 @@ for argv in (
     ["evaluate", "--arch", "hv_wired"],
     ["compare", "--devices", "200", "--budget", "1.0"],
     ["sweep", "--param", "converter.f_sw", "--from", "1e5", "--to", "2e6", "--steps", "4"],
+    ["sweep", "--from", "1", "--to", "500", "--steps", "7"],
+    ["sweep", "--from", "1", "--to", "500", "--steps", "7", "--format", "json"],
+    ["optimize", "--arch", "hv_wired", "--free", "v_rx_hv", "2", "100", "--resolution", "60"],
+    ["optimize", "--arch", "hv_wired", "--free", "v_rx_hv", "2", "100", "--free", "wire_count", "1", "4", "--format", "json"],
 ):
     assert cli.main(argv) == 0, argv
-assert "numpy" not in sys.modules, "numpy loaded on the cold path"
-assert cli.main(["sweep", "--from", "1", "--to", "500", "--steps", "7"]) == 0
-assert cli.main(["optimize", "--arch", "hv_wired", "--free", "v_rx_hv", "2", "100", "--resolution", "60"]) == 0
+assert "numpy" not in sys.modules, "numpy loaded by a CLI subcommand"
 """
 
 

@@ -25,6 +25,8 @@ from cryopower.losses import architecture_loss_at
 from cryopower.model import ARCHITECTURES, ArchitectureKind, default_config
 from cryopower.thermal import heat_budget
 
+from strategies import system_configs
+
 A = ArchitectureKind
 
 
@@ -125,9 +127,10 @@ class TestDevicesUnderBudget:
 
     @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_closed_form_bounded_at_tiny_device_power(self, arch, monkeypatch):
-        # At 1e-12 W per device and B = 1000 W the budget slack admits hundreds
-        # of devices past the root; the search from the root must still take
-        # O(log) loss evaluations and land where bisection does.
+        # At 1e-12 W per device and B = 1000 W the root lies near 1e15 devices,
+        # where one device adds about ten ulps of the budget; the search from
+        # the root must still take O(log) loss evaluations and land where
+        # bisection does.
         cfg = replace(default_config(), load=replace(default_config().load, power_per_device=1e-12))
         calls = 0
 
@@ -140,6 +143,42 @@ class TestDevicesUnderBudget:
         closed = devices_under_budget(arch, cfg, 1000.0)
         assert calls <= 64
         assert closed == devices_under_budget(arch, cfg, 1000.0, method="bisection")
+
+    @pytest.mark.parametrize(
+        "arch, count",
+        [
+            (A.RADIATIVE, 630_000_000_000_000),
+            (A.NON_RADIATIVE, 800_000_000_000_000),
+            (A.HV_NON_RADIATIVE, 800_000_000_000_000),
+        ],
+    )
+    def test_slack_admits_no_device_past_the_budget(self, arch, count):
+        # 1e-12 of a 1000 W budget is the cost of hundreds of 1e-12 W devices;
+        # the slack is capped at half of one device's cost at the boundary.
+        cfg = replace(default_config(), load=replace(default_config().load, power_per_device=1e-12))
+        assert devices_under_budget(arch, cfg, 1000.0) == count
+        assert devices_under_budget(arch, cfg, 1000.0, method="bisection") == count
+
+    @given(
+        system_configs(positive_load=True),
+        st.sampled_from(ARCHITECTURES),
+        st.integers(10**9, 10**15),
+        st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_huge_counts_land_on_the_budget(self, cfg, arch, target, fraction):
+        def cost(count):
+            p_rx = count * cfg.load.power_per_device
+            return p_rx + architecture_loss_at(arch, cfg, p_rx).loss_at_cold_stage
+
+        # A budget `fraction` of the way from `target` devices to one more.
+        budget = cost(target) + fraction * (cost(target + 1) - cost(target))
+        count = devices_under_budget(arch, cfg, budget)
+        assert count == devices_under_budget(arch, cfg, budget, method="bisection")
+        assert target <= count <= target + 1
+        # `count` fits: it is over the budget, if at all, by less than one device's cost.
+        assert cost(count) - budget < cost(count + 1) - cost(count)
+        # One more does not.
+        assert cost(count + 1) > budget
 
     def test_tiny_budget_supports_zero_devices(self):
         assert devices_under_budget(A.WIRED, default_config(), 1e-9) == 0

@@ -1,11 +1,15 @@
-"""Differential tests: the grid kernel against the single-point scalar path, bit for bit.
+"""Differential tests: both grid evaluators against the single-point scalar path, bit for bit.
 
-``optimize`` and ``sweep_loss`` evaluate their grids with
-``thermal._heat_grid``; the scalar ``resolve_parameters`` +
+The library's ``optimize`` and ``sweep_loss`` evaluate their grids with the
+NumPy kernel ``thermal._heat_grid``; the CLI evaluates the same grids on
+Python floats with ``thermal._heat_rows`` (``compare._cell_trace`` and
+``compare._sweep_cells``). The scalar ``resolve_parameters`` +
 ``heat_budget``/``architecture_loss_at`` path stays as the reference. Floats
 are compared by ``float.hex`` so that 0.0 and -0.0 count. ``system_configs()``
 draws ``converter.include_loss`` and ``attach_hv_nonradiative``; the tests
-draw converter coupling and rails on both sides of ``converter.v_out``.
+draw converter coupling, rails on both sides of ``converter.v_out``, rails so
+small that the Joule term overflows (1e-160) or divides by zero (1e-170,
+whose square underflows to 0), and ``power_per_device = -0.0``.
 """
 
 import dataclasses
@@ -14,6 +18,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -22,14 +27,17 @@ from cryopower.compare import (
     OptimizationResult,
     SweepPoint,
     SweepResult,
+    _cell_trace,
     _golden_refine,
+    _optimize,
+    _sweep_cells,
     optimize,
     resolve_parameters,
     sweep_loss,
 )
-from cryopower.losses import architecture_loss_at
+from cryopower.losses import architecture_loss_at, carries_converter
 from cryopower.model import ARCHITECTURES
-from cryopower.thermal import _heat_grid, heat_budget, heat_budget_at
+from cryopower.thermal import _HeatGrid, _heat_grid, _heat_rows, heat_budget, heat_budget_at
 
 from strategies import finite, system_configs
 
@@ -117,6 +125,51 @@ def rail_voltages(cfg):
     return st.one_of(finite(cfg.load.v_rx, 20.0 * top), st.just(top))
 
 
+def maybe_negative_zero_load(data, cfg):
+    """``cfg``, or in about one draw in ten ``cfg`` at ``power_per_device = -0.0``."""
+    if data.draw(st.integers(0, 9)) == 0:
+        return replace(cfg, load=replace(cfg.load, power_per_device=-0.0))
+    return cfg
+
+
+@st.composite
+def grid_axes(draw, cfg):
+    """A config and the power, rail and wire axes of a grid.
+
+    Powers include -0.0. A third of the draws lower ``load.v_rx`` to a rail
+    whose Joule term overflows (1e-160) or divides by zero (1e-170) and put
+    that rail on the axis.
+    """
+    tiny = draw(st.sampled_from((None, 1e-160, 1e-170)))
+    if tiny is not None:
+        cfg = replace(cfg, load=replace(cfg.load, v_rx=tiny))
+    powers = draw(st.lists(st.one_of(finite(0.0, 100.0), st.just(-0.0)), min_size=1, max_size=3))
+    volts = draw(st.lists(rail_voltages(cfg), min_size=1, max_size=4))
+    if tiny is not None:
+        volts = [tiny] + volts
+    wires = draw(st.lists(st.integers(1, MAX_SIDE), min_size=1, max_size=3))
+    return cfg, powers, volts, wires
+
+
+def scalar_cell(cfg, arch, p, v, n, couple):
+    """The grid fields at one cell from the single-point path, or ``ZeroDivisionError`` where it raises."""
+    point = resolve_parameters(cfg, arch, {"v_rx_hv": v, "wire_count": n}, couple)
+    try:
+        loss = architecture_loss_at(arch, point, p)
+        budget = heat_budget_at(arch, point, p)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+    return _HeatGrid(
+        loss.transmission_loss,
+        loss.converter_loss,
+        loss.loss_at_cold_stage,
+        budget.p_load,
+        budget.q_total,
+        budget.cop,
+        budget.cooling_power,
+    )
+
+
 @st.composite
 def boxes(draw, cfg):
     """A ``v_rx_hv``-only, ``wire_count``-only or 2-D box, and a resolution.
@@ -137,41 +190,69 @@ def boxes(draw, cfg):
 
 @given(system_configs(), st.sampled_from(ARCHITECTURES), st.booleans(), st.data())
 def test_heat_grid_matches_scalar_cell_by_cell(cfg, arch, couple, data):
-    powers = data.draw(st.lists(finite(0.0, 100.0), min_size=1, max_size=3))
-    volts = data.draw(st.lists(rail_voltages(cfg), min_size=1, max_size=4))
-    wires = data.draw(st.lists(st.integers(1, MAX_SIDE), min_size=1, max_size=3))
+    cfg, powers, volts, wires = data.draw(grid_axes(cfg))
+    shape = (len(powers), len(volts), len(wires))
+    expected = {
+        (i, j, k): scalar_cell(cfg, arch, powers[i], volts[j], wires[k], couple) for i, j, k in np.ndindex(shape)
+    }
     p = np.array(powers)[:, None, None]
     v = np.array(volts)[None, :, None]
     n = np.array(wires)[None, None, :]
-    grid = _heat_grid(arch, cfg, p, v, n, couple)
-    shape = (len(powers), len(volts), len(wires))
-    fields = {name: np.broadcast_to(value, shape) for name, value in grid._asdict().items()}
-    for i, j, k in np.ndindex(shape):
-        point = resolve_parameters(cfg, arch, {"v_rx_hv": volts[j], "wire_count": wires[k]}, couple)
-        loss = architecture_loss_at(arch, point, powers[i])
-        budget = heat_budget_at(arch, point, powers[i])
-        expected = {
-            "transmission_loss": loss.transmission_loss,
-            "converter_loss": loss.converter_loss,
-            "loss_at_cold_stage": loss.loss_at_cold_stage,
-            "p_load": budget.p_load,
-            "q_total": budget.q_total,
-            "cop": budget.cop,
-            "cooling_power": budget.cooling_power,
-        }
-        for name, value in expected.items():
-            assert float(fields[name][i, j, k]).hex() == value.hex(), (name, i, j, k)
+    try:
+        grid = _heat_grid(arch, cfg, p, v, n, couple)
+    except FloatingPointError:
+        # The kernel raises where a cell divides a nonzero value by zero.
+        assert ZeroDivisionError in expected.values()
+        return
+    fields = [np.broadcast_to(value, shape) for value in grid]
+    for (i, j, k), want in expected.items():
+        got = _HeatGrid(*(float(field[i, j, k]) for field in fields))
+        if want is ZeroDivisionError:
+            # To NumPy 0/0 is NaN, not a division by zero: p * p is 0 on a rail whose square is 0.
+            assert powers[i] * powers[i] == 0.0 and math.isnan(got.cooling_power)
+            continue
+        dropped = couple and carries_converter(arch, cfg.converter) and volts[j] <= cfg.converter.v_out
+        if dropped and math.copysign(1.0, powers[i]) < 0:
+            # Where the tracking converter drops, the kernel reads -0.0 * 0.0 = -0.0 of converter
+            # loss and the scalar path, with no stage, 0.0; the sign reaches no other field.
+            assert got.converter_loss == want.converter_loss == 0.0
+            assert got.loss_at_cold_stage == want.loss_at_cold_stage
+            got = got._replace(converter_loss=want.converter_loss, loss_at_cold_stage=want.loss_at_cold_stage)
+        assert bits(got) == bits(want), (i, j, k)
+
+
+@given(system_configs(), st.sampled_from(ARCHITECTURES), st.booleans(), st.data())
+def test_heat_rows_match_scalar_cell_by_cell(cfg, arch, couple, data):
+    cfg, powers, volts, wires = data.draw(grid_axes(cfg))
+    for v in volts:
+        for n in wires:
+            expected = [scalar_cell(cfg, arch, p, v, n, couple) for p in powers]
+            if ZeroDivisionError in expected:
+                with pytest.raises(ZeroDivisionError):
+                    _heat_rows(arch, cfg, powers, v, n, couple)
+            else:
+                assert bits(_heat_rows(arch, cfg, powers, v, n, couple)) == bits(expected), (v, n)
 
 
 @given(system_configs(), st.sampled_from(ARCHITECTURES), st.booleans(), st.data())
 def test_optimize_matches_scalar_grid(cfg, arch, couple, data):
+    cfg = maybe_negative_zero_load(data, cfg)
     box, resolution = data.draw(boxes(cfg))
     result = optimize(cfg, box, arch, resolution=resolution, couple_converter_input=couple)
     assert bits(result) == bits(reference_optimize(cfg, box, arch, resolution, couple))
 
 
-@given(system_configs(), st.sets(st.integers(1, 10**6), min_size=1, max_size=32))
-def test_sweep_matches_per_point_evaluation(cfg, counts):
+@given(system_configs(), st.sampled_from(ARCHITECTURES), st.booleans(), st.data())
+def test_cell_trace_optimize_matches_scalar_grid(cfg, arch, couple, data):
+    cfg = maybe_negative_zero_load(data, cfg)
+    box, resolution = data.draw(boxes(cfg))
+    result = _optimize(cfg, box, arch, "cooling_power", resolution, couple, _cell_trace)
+    assert bits(result) == bits(reference_optimize(cfg, box, arch, resolution, couple))
+
+
+@given(system_configs(), st.sets(st.integers(1, 10**6), min_size=1, max_size=32), st.data())
+def test_sweep_matches_per_point_evaluation(cfg, counts, data):
+    cfg = maybe_negative_zero_load(data, cfg)
     counts = sorted(counts)
     reference = []
     for count in counts:
@@ -185,3 +266,17 @@ def test_sweep_matches_per_point_evaluation(cfg, counts):
         reference.append(SweepPoint(count, evaluations))
     result = sweep_loss(cfg, counts)
     assert bits(result) == bits(SweepResult("device_count", tuple(reference)))
+    cells = _sweep_cells(cfg, counts)
+    for arch_index, column in enumerate(cells):
+        for point, fields in zip(reference, column):
+            loss, thermal = point.evaluations[arch_index].loss, point.evaluations[arch_index].thermal
+            want = (
+                loss.transmission_loss,
+                loss.converter_loss,
+                loss.loss_at_cold_stage,
+                thermal.p_load,
+                thermal.q_total,
+                thermal.cop,
+                thermal.cooling_power,
+            )
+            assert bits(fields) == bits(want), (point.value, ARCHITECTURES[arch_index])
