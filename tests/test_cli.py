@@ -277,7 +277,14 @@ def reference_device_sweep(config, counts, output_format):
         return json.dumps(payload, indent=2) + "\n"
     header = ["parameter", "value", "architecture", "transmission_loss_w", "q_total_w", "cooling_power_w"]
     rows = [
-        [result.parameter, point.value, e.architecture.label, e.loss.transmission_loss, e.thermal.q_total, e.thermal.cooling_power]
+        [
+            result.parameter,
+            point.value,
+            e.architecture.label,
+            e.loss.transmission_loss,
+            e.thermal.q_total,
+            e.thermal.cooling_power,
+        ]
         for point in result.points
         for e in point.evaluations
     ]
@@ -299,7 +306,8 @@ def reference_optimize(config, free, arch, resolution, couple, output_format):
         }
         return json.dumps(payload, indent=2) + "\n"
     row = [result.architecture.label] + [result.parameters[name] for name in names]
-    return reference_csv(["architecture"] + names + ["cooling_power_w", "evaluations"], [row + [result.objective_value, result.evaluations]])
+    row += [result.objective_value, result.evaluations]
+    return reference_csv(["architecture"] + names + ["cooling_power_w", "evaluations"], [row])
 
 
 # Configs whose documents carry negative zeros, overflowed cooling and a converter on the coil link.
@@ -319,7 +327,8 @@ class TestGridDocuments:
     def test_device_sweep_matches_library(self, name, output_format, tmp_path):
         path = tmp_path / "system.cfg"
         path.write_text(GRID_CONFIGS[name])
-        code, out, err = invoke("sweep", "--from", "1", "--to", "300", "--steps", "41", "--config", str(path), "--format", output_format)
+        argv = ["sweep", "--from", "1", "--to", "300", "--steps", "41", "--config", str(path)]
+        code, out, err = invoke(*argv, "--format", output_format)
         assert (code, err) == (EXIT_OK, "")
         counts = sorted({int(round(1 + i * (299 / 40))) for i in range(41)})
         assert out == reference_device_sweep(parse_config(GRID_CONFIGS[name]), counts, output_format)
@@ -342,6 +351,15 @@ class TestGridDocuments:
         expected = reference_optimize(config, free, ArchitectureKind.from_label(arch), 25, couple, output_format)
         assert out == expected
 
+
+SWEEP_KEYS = (
+    "architecture",
+    "transmission_loss_w",
+    "converter_loss_w",
+    "loss_at_cold_stage_w",
+    "q_total_w",
+    "cooling_power_w",
+)
 
 json_leaves = st.one_of(
     st.floats(),
@@ -385,7 +403,7 @@ class TestJsonWriter:
                 {
                     "value": rows[start][0],
                     "architectures": [
-                        dict(zip(("architecture", "transmission_loss_w", "converter_loss_w", "loss_at_cold_stage_w", "q_total_w", "cooling_power_w"), row[1:]))
+                        dict(zip(SWEEP_KEYS, row[1:]))
                         for row in rows[start : start + 5]
                     ],
                 }
