@@ -18,20 +18,16 @@ import operator
 import sys
 from typing import Any, Sequence
 
-try:  # json.encoder's own string encoder, without importing json's decoder and scanner
-    from _json import encode_basestring_ascii
-except ImportError:  # pragma: no cover - interpreters without CPython's accelerator
-    from json.encoder import encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 
 from .compare import (
     FREE_PARAMETER_NAMES,
     ArchitectureEvaluation,
-    _cell_trace,
     _linspace,
-    _optimize,
     _sweep_cells,
     evaluate_architecture,
     devices_under_budget,
+    optimize,
     scorecard,
 )
 from .configio import ConfigError, config_paths, parse_config, serialize_config, set_value
@@ -433,15 +429,12 @@ def _run_optimize(args: argparse.Namespace) -> str:
             raise CliError(f"invalid bounds for {name!r}: {exc}", EXIT_BAD_INVOCATION) from exc
         free[name] = (lo, hi)
     try:
-        # The grid is scanned on Python floats: no NumPy import for a few thousand cells.
-        result = _optimize(
+        result = optimize(
             config,
             free,
             arch,
-            "cooling_power",
-            args.resolution,
-            not args.no_converter_coupling,
-            _cell_trace,
+            resolution=args.resolution,
+            couple_converter_input=not args.no_converter_coupling,
         )
     except ValueError as exc:
         raise CliError(str(exc), EXIT_BAD_INVOCATION) from exc

@@ -587,7 +587,8 @@ for argv in (
     ["sweep", "--from", "1", "--to", "500", "--steps", "7"],
     ["sweep", "--from", "1", "--to", "500", "--steps", "7", "--format", "json"],
     ["optimize", "--arch", "hv_wired", "--free", "v_rx_hv", "2", "100", "--resolution", "60"],
-    ["optimize", "--arch", "hv_wired", "--free", "v_rx_hv", "2", "100", "--free", "wire_count", "1", "4", "--format", "json"],
+    ["optimize", "--arch", "hv_wired", "--free", "v_rx_hv", "2", "100", "--free", "wire_count", "1", "4",
+     "--resolution", "50", "--format", "json"],
 ):
     assert cli.main(argv) == 0, argv
 assert "numpy" not in sys.modules, "numpy loaded by a CLI subcommand"

@@ -1,10 +1,12 @@
 """Differential tests: both grid evaluators against the single-point scalar path, bit for bit.
 
-The library's ``optimize`` and ``sweep_loss`` evaluate their grids with the
-NumPy kernel ``thermal._heat_grid``; the CLI evaluates the same grids on
-Python floats with ``thermal._heat_rows`` (``compare._cell_trace`` and
-``compare._sweep_cells``). The scalar ``resolve_parameters`` +
-``heat_budget``/``architecture_loss_at`` path stays as the reference. Floats
+``sweep_loss`` and the grids of ``optimize`` with more than
+``compare._PYTHON_GRID_CELLS`` cells go through the NumPy kernel
+``thermal._heat_grid``; smaller ``optimize`` grids and the CLI's device sweep
+are evaluated on Python floats with ``thermal._heat_rows``
+(``compare._cell_trace`` and ``compare._sweep_cells``). The scalar
+``resolve_parameters`` + ``heat_budget``/``architecture_loss_at`` path stays
+as the reference. Floats
 are compared by ``float.hex`` so that 0.0 and -0.0 count. ``system_configs()``
 draws ``converter.include_loss`` and ``attach_hv_nonradiative``; the tests
 draw converter coupling, rails on both sides of ``converter.v_out``, rails so
@@ -22,21 +24,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cryopower import compare
 from cryopower.compare import (
     ArchitectureEvaluation,
     OptimizationResult,
     SweepPoint,
     SweepResult,
-    _cell_trace,
     _golden_refine,
-    _optimize,
     _sweep_cells,
     optimize,
     resolve_parameters,
     sweep_loss,
 )
 from cryopower.losses import architecture_loss_at, carries_converter
-from cryopower.model import ARCHITECTURES
+from cryopower.model import ARCHITECTURES, ArchitectureKind, default_config
 from cryopower.thermal import _HeatGrid, _heat_grid, _heat_rows, heat_budget, heat_budget_at
 
 from strategies import finite, system_configs
@@ -243,13 +244,25 @@ def test_optimize_matches_scalar_grid(cfg, arch, couple, data):
 
 
 @given(system_configs(), st.sampled_from(ARCHITECTURES), st.booleans(), st.data())
-def test_cell_trace_optimize_matches_scalar_grid(cfg, arch, couple, data):
+def test_kernel_optimize_matches_scalar_grid(cfg, arch, couple, data):
+    # The boxes drawn here stay within _PYTHON_GRID_CELLS; with it at 0 every grid takes the kernel.
     cfg = maybe_negative_zero_load(data, cfg)
     box, resolution = data.draw(boxes(cfg))
-    result = _optimize(cfg, box, arch, "cooling_power", resolution, couple, _cell_trace)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(compare, "_PYTHON_GRID_CELLS", 0)
+        result = optimize(cfg, box, arch, resolution=resolution, couple_converter_input=couple)
     assert bits(result) == bits(reference_optimize(cfg, box, arch, resolution, couple))
 
 
+@pytest.mark.parametrize("extra, evaluator", [(0, "_cell_trace"), (1, "_kernel_trace")])
+def test_optimize_picks_evaluator_by_cell_count(extra, evaluator, monkeypatch):
+    calls = []
+    for name in ("_cell_trace", "_kernel_trace"):
+        trace = getattr(compare, name)
+        monkeypatch.setattr(compare, name, lambda *args, name=name, trace=trace: calls.append(name) or trace(*args))
+    resolution = compare._PYTHON_GRID_CELLS + extra
+    optimize(default_config(), {"v_rx_hv": (2.0, 60.0)}, ArchitectureKind.HV_WIRED, resolution=resolution)
+    assert calls == [evaluator]
 @given(system_configs(), st.sets(st.integers(1, 10**6), min_size=1, max_size=32), st.data())
 def test_sweep_matches_per_point_evaluation(cfg, counts, data):
     cfg = maybe_negative_zero_load(data, cfg)
