@@ -9,6 +9,7 @@ supported device count; delivered power alone would rank them identically.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence
@@ -264,7 +265,7 @@ def devices_under_budget(
 
     def fits(count: int) -> bool:
         p_rx = count * power_per_device
-        return p_rx + architecture_loss_at(arch, config, p_rx).loss_at_cold_stage <= limit
+        return p_rx + architecture_loss_at(arch, config, p_rx, coefficients).loss_at_cold_stage <= limit
 
     if method == "bisection":
         return _bisection_count(fits)
@@ -294,13 +295,19 @@ def equivalent_wire_count(config: SystemConfig, reference: ArchitectureKind) -> 
     return single_wire_loss / reference_loss
 
 
-def default_score_table() -> dict[str, dict[str, str]]:
-    """Bundled qualitative scores for the non-computed comparison rows."""
+@functools.cache
+def _bundled_score_table() -> dict[str, dict[str, str]]:
+    """The bundled score table, read once per process; callers must not mutate it."""
     import json
     from importlib import resources
 
     text = resources.files("cryopower").joinpath("data/default_scores.json").read_text("utf-8")
     return json.loads(text)
+
+
+def default_score_table() -> dict[str, dict[str, str]]:
+    """Bundled qualitative scores for the non-computed comparison rows, as a fresh copy."""
+    return {row: dict(scores) for row, scores in _bundled_score_table().items()}
 
 
 def _check_score_table(table: Mapping[str, Mapping[str, str]]) -> None:
@@ -330,7 +337,7 @@ def scorecard(
     """
     if operating_device_count < 1:
         raise ValueError(f"operating_device_count must be >= 1, got {operating_device_count!r}")
-    table = default_score_table() if score_table is None else score_table
+    table = _bundled_score_table() if score_table is None else score_table
     _check_score_table(table)
     point_config = _with_device_count(config, operating_device_count)
     rows = []
@@ -604,7 +611,8 @@ def optimize(
         trace = _cell_trace(config, arch, v_grid, n_grid, couple_converter_input)
     else:
         trace = _kernel_trace(config, arch, v_grid, n_grid, couple_converter_input, map_fn)
-    assert trace
+    if not trace:
+        raise ValueError(f"{arch.label}: every grid cell's cooling power is inf or NaN")
     best_params, best_value = dict(trace[-1][0]), trace[-1][1]
 
     if "v_rx_hv" in best_params and len(v_grid) > 1:

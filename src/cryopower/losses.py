@@ -217,7 +217,7 @@ def _coefficients(
 
 
 def architecture_loss_at(
-    arch: ArchitectureKind, config: SystemConfig, p_rx: float
+    arch: ArchitectureKind, config: SystemConfig, p_rx: float, _record: _Coefficients | None = None
 ) -> LossBreakdown:
     """Loss breakdown for ``arch`` at an explicit delivered power ``p_rx``.
 
@@ -226,16 +226,13 @@ def architecture_loss_at(
     Only converter-equipped architectures add converter dissipation, which
     sits at the cold stage in full.
     """
+    # ``_record``, when given, is ``_coefficients(arch, config)``; a budget solve builds it once.
     config.wire.effective_resistance  # raises first on a bad resistance mode, as the leaf path did
     _check_delivered(p_rx)
-    transmission, converter, cold = _coefficients(arch, config).losses(p_rx)
-    return LossBreakdown(
-        architecture=arch,
-        delivered_power=p_rx,
-        transmission_loss=transmission,
-        converter_loss=converter,
-        loss_at_cold_stage=cold,
-    )
+    if _record is None:
+        _record = _coefficients(arch, config)
+    transmission, converter, cold = _record.losses(p_rx)
+    return LossBreakdown(arch, p_rx, transmission, converter, cold)
 
 
 def architecture_loss(arch: ArchitectureKind, config: SystemConfig) -> LossBreakdown:

@@ -467,6 +467,17 @@ class TestOptimizeSubcommand:
         assert captured.err.startswith("error: wire_count upper bound")
         assert repr(float(hi)) in captured.err
 
+    @pytest.mark.parametrize("resolution", ["10", "300"])
+    def test_all_infinite_grid_is_malformed(self, resolution, tmp_path, capsys):
+        path = tmp_path / "system.cfg"
+        path.write_text("load.v_rx = 1e-160\n")
+        free = ["--free", "v_rx_hv", "1e-160", "1e-150"]
+        code = main(["optimize", "--config", str(path), "--arch", "wired", *free, "--resolution", resolution])
+        captured = capsys.readouterr()
+        assert code == EXIT_BAD_INVOCATION
+        assert captured.out == ""
+        assert captured.err == "error: wired: every grid cell's cooling power is inf or NaN\n"
+
     def test_duplicate_free_parameter(self):
         code, _, err = invoke(
             "optimize", "--arch", "wired", "--free", "wire_count", "1", "5", "--free", "wire_count", "1", "9"

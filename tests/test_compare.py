@@ -144,6 +144,25 @@ class TestDevicesUnderBudget:
         assert calls <= 64
         assert closed == devices_under_budget(arch, cfg, 1000.0, method="bisection")
 
+    @pytest.mark.parametrize("power_per_device", [1e-12, 0.005, 1e3])
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_bisection_tests_feasibility_through_the_loss_path(self, arch, power_per_device, monkeypatch):
+        # Bisection doubles a bound until it does not fit, then halves the
+        # bracket: for an answer n >= 1 that is 2 * n.bit_length() feasibility
+        # tests (one test when n = 0), and each must be a loss evaluation.
+        cfg = replace(default_config(), load=replace(default_config().load, power_per_device=power_per_device))
+        closed = devices_under_budget(arch, cfg, 1000.0)
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return architecture_loss_at(*args)
+
+        monkeypatch.setattr(compare, "architecture_loss_at", counting)
+        assert devices_under_budget(arch, cfg, 1000.0, method="bisection") == closed
+        assert calls == max(1, 2 * closed.bit_length())
+
     @pytest.mark.parametrize(
         "arch, count",
         [
@@ -314,6 +333,35 @@ class TestScorecard:
         del broken["reliability"]["wired"]
         with pytest.raises(ValueError, match="wired"):
             scorecard(default_config(), 200, score_table=broken)
+
+    def test_default_score_table_is_a_fresh_copy(self):
+        before = scorecard(default_config(), 200)
+        table = default_score_table()
+        table["reliability"]["wired"] = "Edited"
+        table["power_density"] = {}
+        del table["reliability"]
+        fresh = default_score_table()
+        assert fresh["reliability"]["wired"] == "High"
+        assert fresh["power_density"]["hv_non_radiative"] == "Very High"
+        assert scorecard(default_config(), 200) == before
+
+    def test_bundled_score_table_is_read_once(self, monkeypatch):
+        from importlib import resources
+
+        reads = 0
+        files = resources.files
+
+        def counting(*args):
+            nonlocal reads
+            reads += 1
+            return files(*args)
+
+        compare._bundled_score_table.cache_clear()
+        monkeypatch.setattr(resources, "files", counting)
+        for _ in range(3):
+            default_score_table()
+            scorecard(default_config(), 200)
+        assert reads == 1
 
     def test_device_count_bound(self):
         with pytest.raises(ValueError):
@@ -504,6 +552,21 @@ class TestOptimize:
         assert result.parameters == {"wire_count": 1}
         assert result.evaluations == 50
         assert optimize(default_config(), {"wire_count": (1, 1e18)}, A.WIRED, resolution=50) == result
+
+    @pytest.mark.parametrize("resolution", [10, 300])  # Python floats, then the NumPy kernel
+    @pytest.mark.parametrize(
+        "arch, load, free",
+        [
+            (A.WIRED, {"v_rx": 1e-160}, {"v_rx_hv": (1e-160, 1e-150)}),
+            (A.HV_WIRED, {"power_per_device": 1e300}, {"v_rx_hv": (2.0, 20.0)}),
+        ],
+    )
+    def test_all_infinite_grid_rejected(self, arch, load, free, resolution):
+        assert (resolution > compare._PYTHON_GRID_CELLS) == (resolution == 300)
+        cfg = replace(default_config(), load=replace(default_config().load, **load))
+        message = f"^{arch.label}: every grid cell's cooling power is inf or NaN$"
+        with pytest.raises(ValueError, match=message):
+            optimize(cfg, free, arch, resolution=resolution)
 
     def test_errors(self):
         cfg = default_config()
