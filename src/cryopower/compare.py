@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+from itertools import repeat
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -35,6 +36,11 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # kernel is faster by about 1.3 ms at this size and 5.5 ms at 1000 cells
 # (2-vCPU host, one core).
 _PYTHON_GRID_CELLS = 256
+
+# optimize's kernel evaluates at most this many cells per NumPy call, one
+# call per block of whole wire counts: a 1000 x 1000 grid takes 16 calls of
+# 0.5 MB temporaries, where a single call grew RSS by about 32 MB.
+_KERNEL_BLOCK_CELLS = 1 << 16
 
 FREE_PARAMETER_NAMES = ("v_rx_hv", "wire_count")
 
@@ -154,18 +160,16 @@ def sweep_loss(
         )
         return [np.broadcast_to(field, p_axis.shape).tolist() for field in fields] + [grid.p_load, grid.cop]
 
-    columns = list(map_fn(_columns, ARCHITECTURES))
-    points = []
-    for i, count in enumerate(counts):
-        evaluations = []
-        for arch, (trans, conv, cold, q_total, cooling, p_load, cop) in zip(ARCHITECTURES, columns):
-            loss = LossBreakdown(arch, p_rx[i], trans[i], conv[i], cold[i])
-            thermal = ThermalBudget(
-                arch, p_load, cold[i], stage.q_ambient_leak, stage.q_electronics, q_total[i], cop, cooling[i]
-            )
-            evaluations.append(ArchitectureEvaluation(loss, thermal))
-        points.append(SweepPoint(value=count, evaluations=tuple(evaluations)))
-    return SweepResult(parameter="device_count", points=tuple(points))
+    columns = map_fn(_columns, ARCHITECTURES)
+    per_arch = []
+    for arch, (trans, conv, cold, q_total, cooling, p_load, cop) in zip(ARCHITECTURES, columns):
+        losses = map(LossBreakdown, repeat(arch), p_rx, trans, conv, cold)
+        budgets = map(
+            ThermalBudget, repeat(arch), repeat(p_load), cold, repeat(stage.q_ambient_leak),
+            repeat(stage.q_electronics), q_total, repeat(cop), cooling,
+        )
+        per_arch.append(map(ArchitectureEvaluation, losses, budgets))
+    return SweepResult(parameter="device_count", points=tuple(map(SweepPoint, counts, zip(*per_arch))))
 
 
 def _sweep_cells(config: SystemConfig, device_counts: Sequence[int]) -> list[list[tuple]]:
@@ -474,31 +478,34 @@ def _kernel_trace(
 ) -> _GridTrace:
     """The grid's strict improvements over the running minimum, in v-major scan order.
 
-    One grid-kernel call per wire count, each over the whole ``v_rx_hv``
-    axis, mapped by ``map_fn``. NaN cells never improve, as ``value < best``
-    skips them.
+    One grid-kernel call per block of whole wire counts, each block at most
+    ``_KERNEL_BLOCK_CELLS`` cells with ``v_rx_hv`` as a column and the wire
+    counts as a row, mapped by ``map_fn``. NaN cells never improve, as
+    ``value < best`` skips them.
     """
     import numpy as np  # loaded on first grid call, off the CLI cold path
 
     p_rx = config.load.delivered_power
-    v_axis = None if v_grid[0] is None else np.array(v_grid)
+    v_column = None if v_grid[0] is None else np.array(v_grid)[:, None]
+    step = max(1, _KERNEL_BLOCK_CELLS // len(v_grid))
 
-    def _row(n: int | None) -> np.ndarray:
-        cooling = _heat_grid(arch, config, p_rx, v_axis, n, couple_converter_input).cooling_power
-        return np.broadcast_to(cooling, (len(v_grid),))
+    def _block(wires: list) -> np.ndarray:
+        n_row = None if wires[0] is None else np.array(wires)[None, :]
+        cooling = _heat_grid(arch, config, p_rx, v_column, n_row, couple_converter_input).cooling_power
+        return np.broadcast_to(cooling, (len(v_grid), len(wires)))
 
+    blocks = [n_grid[i : i + step] for i in range(0, len(n_grid), step)]
     try:
-        values = np.stack(list(map_fn(_row, n_grid)), axis=1).ravel()
+        values = np.concatenate(list(map_fn(_block, blocks)), axis=1).ravel()
     except FloatingPointError:
         # A cell divides by zero: the single-point path raises there too, or
         # the division sits in a converter branch that it never takes.
-        values = np.array(
-            [_point_cooling(config, arch, _free_params(v, n), couple_converter_input) for v in v_grid for n in n_grid]
-        )
+        return _cell_trace(config, arch, v_grid, n_grid, couple_converter_input)
     running = np.fmin.accumulate(np.concatenate(([math.inf], values)))[:-1]
+    improved = np.flatnonzero(values < running)
     return [
-        (_free_params(v_grid[i // len(n_grid)], n_grid[i % len(n_grid)]), float(values[i]))
-        for i in np.flatnonzero(values < running)
+        (_free_params(v_grid[i // len(n_grid)], n_grid[i % len(n_grid)]), value)
+        for i, value in zip(improved.tolist(), values[improved].tolist())
     ]
 
 
@@ -507,9 +514,9 @@ def _cell_trace(
 ) -> _GridTrace:
     """:func:`_kernel_trace` on Python floats, one cell at a time, without NumPy.
 
-    Each cell is bit-identical to the kernel's; a cell that divides by zero
-    raises ``ZeroDivisionError`` where the kernel's fallback to the
-    single-point path raises it.
+    Each cell is bit-identical to the kernel's, and the kernel falls back to
+    this where a cell divides by zero; such a cell raises
+    ``ZeroDivisionError``, as the single-point path does.
     """
     p_rx = (config.load.delivered_power,)
     trace: _GridTrace = []
@@ -541,15 +548,16 @@ def optimize(
     toward smaller parameter values; the scan order makes that deterministic.
 
     A grid of more than ``_PYTHON_GRID_CELLS`` cells goes through the grid
-    kernel (:func:`cryopower.thermal._heat_grid`): one call per wire count,
-    each over the whole ``v_rx_hv`` axis, and ``map_fn`` (which may be a
-    pool's map) maps those calls over the wire counts. A smaller grid is
-    scanned on Python floats, one cell at a time, without loading NumPy.
-    Either way every grid value is bit-identical to the single-point path
+    kernel (:func:`cryopower.thermal._heat_grid`): one call per block of
+    whole wire counts, each over the whole ``v_rx_hv`` axis and at most
+    ``_KERNEL_BLOCK_CELLS`` cells, and ``map_fn`` (which may be a pool's map)
+    maps those calls over the blocks. A smaller grid is scanned on Python
+    floats, one cell at a time, without loading NumPy, and so is each
+    golden-section probe: it reads the coefficient record as a cell does.
+    Every value is bit-identical to the single-point path
     (:func:`resolve_parameters` and :func:`cryopower.thermal.heat_budget`);
-    the first grid cell also runs through it, so an invalid config raises
-    the same error. The golden-section refinement evaluates the single-point
-    path.
+    the first grid cell still runs through it, so an invalid config raises
+    the same error.
     """
     if objective != "cooling_power":
         raise ValueError(f"unsupported objective {objective!r}")
@@ -600,11 +608,6 @@ def optimize(
 
     evaluations = len(v_grid) * len(n_grid)
 
-    def _objective(params: dict[str, float | int]) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        return _point_cooling(config, arch, params, couple_converter_input)
-
     # The grid evaluators skip input checks; the single-point path raises them here.
     _point_cooling(config, arch, _free_params(v_grid[0], n_grid[0]), couple_converter_input)
     if evaluations <= _PYTHON_GRID_CELLS:
@@ -620,9 +623,12 @@ def optimize(
         lo = v_grid[max(0, index - 1)]
         hi = v_grid[min(len(v_grid) - 1, index + 1)]
         fixed_n = best_params.get("wire_count")
+        p_rx = (config.load.delivered_power,)
 
         def _axis(v: float) -> float:
-            return _objective(_free_params(float(v), fixed_n))
+            nonlocal evaluations
+            evaluations += 1
+            return _heat_rows(arch, config, p_rx, v, fixed_n, couple_converter_input)[0][-1]
 
         tol = 1e-10 * max(1.0, abs(hi))
         x, fx = _golden_refine(_axis, lo, hi, tol)

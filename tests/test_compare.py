@@ -521,15 +521,18 @@ class TestOptimize:
         assert values[-1] == result.objective_value
         assert result.evaluations >= 128
 
-    def test_parallel_map_identical(self):
+    def test_parallel_map_identical(self, monkeypatch):
         cfg = default_config()
         for box in ({"v_rx_hv": (2.0, 100.0)}, {"v_rx_hv": (2.0, 100.0), "wire_count": (1, 8)}):
             serial = optimize(cfg, box, A.HV_WIRED, resolution=64)
-            with ThreadPoolExecutor(max_workers=8) as pool:
+            with monkeypatch.context() as patch, ThreadPoolExecutor(max_workers=8) as pool:
+                # The 64 x 8 grid maps over blocks of 3, 3 and 2 wire counts.
+                patch.setattr(compare, "_KERNEL_BLOCK_CELLS", 3 * 64)
                 parallel = optimize(cfg, box, A.HV_WIRED, resolution=64, map_fn=pool.map)
             assert serial == parallel
 
-    def test_cell_dividing_by_zero_raises_like_single_point_path(self):
+    @pytest.mark.parametrize("resolution", [8, 300])  # Python floats, then the NumPy kernel's fallback
+    def test_cell_dividing_by_zero_raises_like_single_point_path(self, resolution):
         # Switching loss overflows to inf at the top of the rail range, so the
         # converter efficiency is 0 there and 1/eta divides by zero.
         cfg = default_config()
@@ -538,7 +541,7 @@ class TestOptimize:
         with pytest.raises(ZeroDivisionError):
             heat_budget(A.HV_WIRED, resolved)
         with pytest.raises(ZeroDivisionError):
-            optimize(cfg, {"v_rx_hv": (2.0, 1e300)}, A.HV_WIRED, resolution=8)
+            optimize(cfg, {"v_rx_hv": (2.0, 1e300)}, A.HV_WIRED, resolution=resolution)
 
     @pytest.mark.parametrize("hi", [9.3e18, 1e30])
     def test_unsampleable_wire_count_bound_rejected(self, hi):

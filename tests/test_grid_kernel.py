@@ -246,12 +246,24 @@ def test_optimize_matches_scalar_grid(cfg, arch, couple, data):
 @given(system_configs(), st.sampled_from(ARCHITECTURES), st.booleans(), st.data())
 def test_kernel_optimize_matches_scalar_grid(cfg, arch, couple, data):
     # The boxes drawn here stay within _PYTHON_GRID_CELLS; with it at 0 every grid takes the kernel.
+    # Blocks of a few cells split wire-count grids into several blocks, often with a short last one.
     cfg = maybe_negative_zero_load(data, cfg)
     box, resolution = data.draw(boxes(cfg))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(compare, "_PYTHON_GRID_CELLS", 0)
+        patch.setattr(compare, "_KERNEL_BLOCK_CELLS", data.draw(st.integers(1, 64)))
         result = optimize(cfg, box, arch, resolution=resolution, couple_converter_input=couple)
     assert bits(result) == bits(reference_optimize(cfg, box, arch, resolution, couple))
+
+
+def test_large_grid_identical_at_every_block_size(monkeypatch):
+    # 1000 x 1000 cells: 16 blocks at the shipped size, then one block, then one wire count a block.
+    box = {"v_rx_hv": (2.0, 200.0), "wire_count": (1, 1000)}
+    results = []
+    for block_cells in (compare._KERNEL_BLOCK_CELLS, 10**6, 1000):
+        monkeypatch.setattr(compare, "_KERNEL_BLOCK_CELLS", block_cells)
+        results.append(bits(optimize(default_config(), box, ArchitectureKind.HV_WIRED, resolution=1000)))
+    assert results[0] == results[1] == results[2]
 
 
 @pytest.mark.parametrize("extra, evaluator", [(0, "_cell_trace"), (1, "_kernel_trace")])
