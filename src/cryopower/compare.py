@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import repeat
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .losses import LossBreakdown, _coefficients, architecture_loss_at, carries_converter
