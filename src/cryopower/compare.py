@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import repeat
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .losses import LossBreakdown, _coefficients, architecture_loss_at, carries_converter
-from .model import ARCHITECTURES, ArchitectureKind, SystemConfig
+from .model import ARCHITECTURES, ArchitectureKind, SystemConfig, _dataclass_compatible
 from .noise import white_floor_ratio
 from .thermal import ThermalBudget, _heat_grid, _heat_rows, budget_from_loss, heat_budget
 
@@ -45,8 +45,8 @@ _KERNEL_BLOCK_CELLS = 1 << 16
 FREE_PARAMETER_NAMES = ("v_rx_hv", "wire_count")
 
 
-@dataclass(frozen=True)
-class ArchitectureEvaluation:
+@_dataclass_compatible
+class ArchitectureEvaluation(NamedTuple):
     """Loss and thermal results for one architecture at one operating point."""
 
     loss: LossBreakdown
@@ -57,20 +57,26 @@ class ArchitectureEvaluation:
         return self.loss.architecture
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+@_dataclass_compatible
+class SweepPoint(NamedTuple):
+    """The five architectures' evaluations at one swept value, in :data:`ARCHITECTURES` order."""
+
     value: float
     evaluations: tuple[ArchitectureEvaluation, ...]
 
 
-@dataclass(frozen=True)
-class SweepResult:
+@_dataclass_compatible
+class SweepResult(NamedTuple):
+    """A sweep of one parameter: its name and one point per swept value, in input order."""
+
     parameter: str
     points: tuple[SweepPoint, ...]
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+@_dataclass_compatible
+class ComparisonRow(NamedTuple):
+    """One architecture's computed figures and bundled scores in a :func:`scorecard`."""
+
     architecture: ArchitectureKind
     transmission_loss: float
     cold_stage_heat: float
@@ -80,14 +86,18 @@ class ComparisonRow:
     reliability: str
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+@_dataclass_compatible
+class ComparisonReport(NamedTuple):
+    """A :func:`scorecard` at one device count, rows sorted by cooling power ascending."""
+
     device_count: int
     rows: tuple[ComparisonRow, ...]
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
+@_dataclass_compatible
+class OptimizationResult(NamedTuple):
+    """The best free parameters :func:`optimize` found, its objective value, and its search trace."""
+
     architecture: ArchitectureKind
     parameters: dict[str, float | int]
     objective: str
@@ -160,16 +170,22 @@ def sweep_loss(
         )
         return [np.broadcast_to(field, p_axis.shape).tolist() for field in fields] + [grid.p_load, grid.cop]
 
+    # Records are built as tuple.__new__(cls, fields), without a Python-level __new__ per record.
     columns = map_fn(_columns, ARCHITECTURES)
     per_arch = []
     for arch, (trans, conv, cold, q_total, cooling, p_load, cop) in zip(ARCHITECTURES, columns):
-        losses = map(LossBreakdown, repeat(arch), p_rx, trans, conv, cold)
+        losses = map(tuple.__new__, repeat(LossBreakdown), zip(repeat(arch), p_rx, trans, conv, cold))
         budgets = map(
-            ThermalBudget, repeat(arch), repeat(p_load), cold, repeat(stage.q_ambient_leak),
-            repeat(stage.q_electronics), q_total, repeat(cop), cooling,
+            tuple.__new__,
+            repeat(ThermalBudget),
+            zip(
+                repeat(arch), repeat(p_load), cold, repeat(stage.q_ambient_leak),
+                repeat(stage.q_electronics), q_total, repeat(cop), cooling,
+            ),
         )
-        per_arch.append(map(ArchitectureEvaluation, losses, budgets))
-    return SweepResult(parameter="device_count", points=tuple(map(SweepPoint, counts, zip(*per_arch))))
+        per_arch.append(map(tuple.__new__, repeat(ArchitectureEvaluation), zip(losses, budgets)))
+    points = map(tuple.__new__, repeat(SweepPoint), zip(counts, zip(*per_arch)))
+    return SweepResult(parameter="device_count", points=tuple(points))
 
 
 def _sweep_cells(config: SystemConfig, device_counts: Sequence[int]) -> list[list[tuple]]:

@@ -8,14 +8,13 @@ outside the refrigerator and never load the cold stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, NamedTuple
 
-from .model import ArchitectureKind, ConverterSpec, SystemConfig
+from .model import ArchitectureKind, ConverterSpec, SystemConfig, _dataclass_compatible
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
+@_dataclass_compatible
+class LossBreakdown(NamedTuple):
     """Loss decomposition for one architecture at one operating point.
 
     ``loss_at_cold_stage`` is the portion of transmission plus converter

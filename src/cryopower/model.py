@@ -1,15 +1,18 @@
 """Domain types, validation, and defaults for cryogenic power-delivery modeling.
 
 All quantities are strict SI: watts, volts, amperes, ohms, hertz, seconds,
-kelvin. Every type is an immutable value; use :func:`dataclasses.replace`
-to derive modified configurations.
+kelvin. The config types are frozen dataclasses; derive a modified
+configuration with :func:`dataclasses.replace`. The result records here and
+in the other modules are immutable ``typing.NamedTuple`` classes: derive one
+with ``_replace``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import _FIELD, MISSING, dataclass, field, fields
 from enum import Enum
+from typing import NamedTuple
 
 
 class ArchitectureKind(Enum):
@@ -174,8 +177,25 @@ class SystemConfig:
     noise: NoiseSpec = field(default_factory=NoiseSpec)
 
 
-@dataclass(frozen=True)
-class Violation:
+def _dataclass_compatible(cls):
+    """Give the NamedTuple record ``cls`` the field table that :mod:`dataclasses` reads.
+
+    The result records were frozen dataclasses; with the table,
+    :func:`dataclasses.replace`, :func:`dataclasses.fields` and
+    :func:`dataclasses.asdict` still accept them.
+    """
+    table = {}
+    for name in cls._fields:
+        entry = field(default=cls._field_defaults.get(name, MISSING))
+        # ``fields`` and ``asdict`` skip an entry unless it is marked as a regular field.
+        entry.name, entry.type, entry._field_type = name, cls.__annotations__[name], _FIELD
+        table[name] = entry
+    cls.__dataclass_fields__ = table
+    return cls
+
+
+@_dataclass_compatible
+class Violation(NamedTuple):
     """A single validation failure, naming the offending field."""
 
     path: str
@@ -185,8 +205,10 @@ class Violation:
         return f"{self.path}: {self.message}"
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+@_dataclass_compatible
+class ValidationResult(NamedTuple):
+    """Every violation :func:`validate` found, in check order; true when there are none."""
+
     violations: tuple[Violation, ...] = ()
 
     @property

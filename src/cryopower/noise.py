@@ -9,13 +9,13 @@ floor set by their conversion stages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .model import ArchitectureKind, NoiseSpec, SystemConfig
+from .model import ArchitectureKind, NoiseSpec, SystemConfig, _dataclass_compatible
 
 
-@dataclass(frozen=True)
-class NoiseDensity:
+@_dataclass_compatible
+class NoiseDensity(NamedTuple):
     """One point of a voltage-noise spectrum."""
 
     frequency: float

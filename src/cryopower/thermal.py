@@ -8,15 +8,14 @@ at its (Carnot-limited, corrected) coefficient of performance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .losses import LossBreakdown, _coefficients, architecture_loss_at
-from .model import ArchitectureKind, SystemConfig
+from .model import ArchitectureKind, SystemConfig, _dataclass_compatible
 
 
-@dataclass(frozen=True)
-class ThermalBudget:
+@_dataclass_compatible
+class ThermalBudget(NamedTuple):
     """Per-architecture cold-stage heat composition and cooling demand."""
 
     architecture: ArchitectureKind
