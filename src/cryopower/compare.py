@@ -10,7 +10,9 @@ supported device count; delivered power alone would rank them identically.
 from __future__ import annotations
 
 import functools
+import gc
 import math
+from _thread import allocate_lock
 from dataclasses import replace
 from itertools import repeat
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -119,9 +121,10 @@ def evaluate_architecture(arch: ArchitectureKind, config: SystemConfig) -> Archi
 def _device_axis(config: SystemConfig, device_counts: Sequence[int]) -> list[int]:
     """The checked device counts of a sweep, as ints.
 
-    The grid evaluators skip input checks, so the first count also runs
-    through :func:`evaluate_architecture` and an invalid config raises the
-    single-point path's error.
+    A count must be a whole number; an integral float such as ``2.0`` is
+    taken as that int. The grid evaluators skip input checks, so the first
+    count also runs through :func:`evaluate_architecture` and an invalid
+    config raises the single-point path's error.
     """
     if not device_counts:
         raise ValueError("device_counts must be nonempty")
@@ -130,10 +133,62 @@ def _device_axis(config: SystemConfig, device_counts: Sequence[int]) -> list[int
             raise ValueError(f"device_counts must be strictly increasing, got {prev} then {cur}")
     if device_counts[0] < 1:
         raise ValueError(f"device counts must be >= 1, got {device_counts[0]}")
-    first = _with_device_count(config, int(device_counts[0]))
+    try:
+        counts = list(map(int, device_counts))
+    except (ValueError, OverflowError):  # int() of NaN or of an infinity
+        counts = []
+    if counts != list(device_counts):
+        bad = next(count for count in device_counts if not _is_whole(count))
+        raise ValueError(f"device counts must be whole numbers, got {bad}")
+    first = _with_device_count(config, counts[0])
     for arch in ARCHITECTURES:
         evaluate_architecture(arch, first)
-    return [int(count) for count in device_counts]
+    return counts
+
+
+def _is_whole(count: float) -> bool:
+    try:
+        return int(count) == count
+    except (ValueError, OverflowError):
+        return False
+
+
+class _CollectorPause:
+    """Keeps the cyclic garbage collector off while at least one pause is open.
+
+    Building thousands of tracked records starts a young collection every
+    few hundred allocations, and none of them can find garbage when every
+    object is part of the result. Pauses may overlap across threads: the
+    first to open records whether the collector was enabled and disables
+    it, and the last to close re-enables it, only if it was enabled, and
+    then runs one young collection, so that the call which filled the
+    young generation pays for its pass.
+    """
+
+    def __init__(self) -> None:
+        self._lock = allocate_lock()
+        self._open = 0
+        self._was_enabled = False
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if not self._open:
+                self._was_enabled = gc.isenabled()
+                gc.disable()
+            self._open += 1
+
+    def __exit__(self, *exc_info: object) -> None:
+        with self._lock:
+            self._open -= 1
+            resume = not self._open and self._was_enabled
+            if resume:
+                gc.enable()
+        if resume:
+            gc.collect(0)
+
+
+# One per process, as the collector it pauses is.
+_COLLECTOR_PAUSE = _CollectorPause()
 
 
 def sweep_loss(
@@ -150,6 +205,11 @@ def sweep_loss(
     so an invalid config raises the same error. ``map_fn`` maps the kernel
     call over the five architectures and may be replaced by a pool's map;
     results are assembled in input order either way.
+
+    The cyclic garbage collector is paused while the result records are
+    built, and one young collection follows. Concurrent calls share one
+    pause, which ends when the last of them is done; code that toggles
+    :mod:`gc` from another thread during a sweep may find it re-enabled.
     """
     counts = _device_axis(config, device_counts)
 
@@ -185,7 +245,9 @@ def sweep_loss(
         )
         per_arch.append(map(tuple.__new__, repeat(ArchitectureEvaluation), zip(losses, budgets)))
     points = map(tuple.__new__, repeat(SweepPoint), zip(counts, zip(*per_arch)))
-    return SweepResult(parameter="device_count", points=tuple(points))
+    with _COLLECTOR_PAUSE:
+        points = tuple(points)
+    return SweepResult(parameter="device_count", points=points)
 
 
 def _sweep_cells(config: SystemConfig, device_counts: Sequence[int]) -> list[list[tuple]]:

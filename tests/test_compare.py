@@ -1,7 +1,10 @@
 """Comparison-engine tests: sweeps, budget solving, wire equivalence, scorecard, optimizer."""
 
+import gc
 import math
 import re
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -87,6 +90,117 @@ class TestSweepLoss:
         with ThreadPoolExecutor(max_workers=8) as pool:
             parallel = sweep_loss(default_config(), counts, map_fn=pool.map)
         assert serial == parallel
+
+    @pytest.mark.parametrize("sweep", [sweep_loss, compare._sweep_cells])
+    @pytest.mark.parametrize(
+        "counts, bad", [([1.2, 1.7], "1.2"), ([1, math.nan], "nan"), ([1, math.inf], "inf")]
+    )
+    def test_rejects_counts_that_are_not_whole_numbers(self, sweep, counts, bad):
+        with pytest.raises(ValueError, match=f"^device counts must be whole numbers, got {bad}$"):
+            sweep(default_config(), counts)
+
+    def test_integral_float_counts_become_ints(self):
+        values = [point.value for point in sweep_loss(default_config(), [1.0, 2.0]).points]
+        assert values == [1, 2]
+        assert all(type(value) is int for value in values)
+
+
+def _set_collector(enabled: bool) -> None:
+    (gc.enable if enabled else gc.disable)()
+
+
+def _fail_after_first_transmission_loss(fn, archs):
+    """A ``map_fn`` whose transmission-loss columns raise after one value, while records are built."""
+
+    def fail_after_first(column):
+        yield column[0]
+        raise RuntimeError("column read failed")
+
+    return [[fail_after_first(columns[0]), *columns[1:]] for columns in map(fn, archs)]
+
+
+class TestSweepCollectorPause:
+    @pytest.fixture(autouse=True)
+    def _restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        _set_collector(enabled)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_sweep_leaves_collector_as_it_found_it(self, enabled):
+        _set_collector(enabled)
+        sweep_loss(default_config(), range(1, 50))
+        assert gc.isenabled() is enabled
+
+    def test_warm_sweep_runs_at_most_two_collections(self):
+        gc.enable()
+        cfg = default_config()
+        sweep_loss(cfg, range(1, 1001))
+        started = []
+
+        def count(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.callbacks.append(count)
+        try:
+            sweep_loss(cfg, range(1, 1001))
+        finally:
+            gc.callbacks.remove(count)
+        assert len(started) <= 2, started
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("close_first", [0, 1])
+    def test_overlapping_pauses_resume_when_the_last_closes(self, enabled, close_first):
+        _set_collector(enabled)
+        opened = [threading.Event(), threading.Event()]
+        release = [threading.Event(), threading.Event()]
+
+        def hold(i):
+            with compare._COLLECTOR_PAUSE:
+                opened[i].set()
+                release[i].wait(10)
+
+        threads = [threading.Thread(target=hold, args=(i,)) for i in (0, 1)]
+        try:
+            for thread, event in zip(threads, opened):
+                thread.start()
+                assert event.wait(10)
+                assert not gc.isenabled()
+            for i in (close_first, 1 - close_first):
+                release[i].set()
+                threads[i].join(10)
+                assert not threads[i].is_alive()
+                assert gc.isenabled() is (enabled and i != close_first)
+        finally:
+            for event in release:
+                event.set()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_failure_while_building_restores_collector(self, enabled):
+        _set_collector(enabled)
+        with pytest.raises(RuntimeError, match="column read failed"):
+            sweep_loss(default_config(), range(1, 5), map_fn=_fail_after_first_transmission_loss)
+        assert gc.isenabled() is enabled
+
+    def test_concurrent_sweeps_leave_collector_enabled(self):
+        gc.enable()
+        cfg = default_config()
+        counts = range(1, 201)
+        expected = sweep_loss(cfg, counts)
+
+        def sweeps():
+            return all(sweep_loss(cfg, counts) == expected for _ in range(20))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(sweeps) for _ in range(4)]
+                assert all(future.result(timeout=120) for future in futures)
+        finally:
+            sys.setswitchinterval(interval)
+        assert gc.isenabled()
 
 
 class TestDevicesUnderBudget:
