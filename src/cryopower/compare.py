@@ -190,6 +190,25 @@ class _CollectorPause:
 # One per process, as the collector it pauses is.
 _COLLECTOR_PAUSE = _CollectorPause()
 
+# Tracked records one swept device count adds: its SweepPoint and that
+# point's tuple of evaluations, and per architecture an evaluation, a loss
+# breakdown and a thermal budget.
+_RECORDS_PER_COUNT = 2 + 3 * len(ARCHITECTURES)
+
+
+def _build_records(points: Iterable, records: int) -> tuple:
+    """``tuple(points)``, with the collector paused if the build would start a young collection.
+
+    A build that fits in what the young generation has left before its
+    threshold starts none, and a pause would add the closing collection to
+    it; a threshold of 0 means automatic collection is off.
+    """
+    threshold = gc.get_threshold()[0]
+    if not threshold or gc.get_count()[0] + records <= threshold:
+        return tuple(points)
+    with _COLLECTOR_PAUSE:
+        return tuple(points)
+
 
 def sweep_loss(
     config: SystemConfig,
@@ -206,10 +225,11 @@ def sweep_loss(
     call over the five architectures and may be replaced by a pool's map;
     results are assembled in input order either way.
 
-    The cyclic garbage collector is paused while the result records are
-    built, and one young collection follows. Concurrent calls share one
-    pause, which ends when the last of them is done; code that toggles
-    :mod:`gc` from another thread during a sweep may find it re-enabled.
+    When the result records outnumber the young generation's collection
+    threshold, the cyclic garbage collector is paused while they are built,
+    and one young collection follows. Concurrent calls share one pause,
+    which ends when the last of them is done; code that toggles :mod:`gc`
+    from another thread during a sweep may find it re-enabled.
     """
     counts = _device_axis(config, device_counts)
 
@@ -245,8 +265,7 @@ def sweep_loss(
         )
         per_arch.append(map(tuple.__new__, repeat(ArchitectureEvaluation), zip(losses, budgets)))
     points = map(tuple.__new__, repeat(SweepPoint), zip(counts, zip(*per_arch)))
-    with _COLLECTOR_PAUSE:
-        points = tuple(points)
+    points = _build_records(points, len(counts) * _RECORDS_PER_COUNT)
     return SweepResult(parameter="device_count", points=points)
 
 

@@ -129,13 +129,11 @@ class TestSweepCollectorPause:
     @pytest.mark.parametrize("enabled", [True, False])
     def test_sweep_leaves_collector_as_it_found_it(self, enabled):
         _set_collector(enabled)
-        sweep_loss(default_config(), range(1, 50))
+        sweep_loss(default_config(), range(1, 201))
         assert gc.isenabled() is enabled
 
-    def test_warm_sweep_runs_at_most_two_collections(self):
-        gc.enable()
-        cfg = default_config()
-        sweep_loss(cfg, range(1, 1001))
+    @staticmethod
+    def _collections_started(sweep) -> list[int]:
         started = []
 
         def count(phase, info):
@@ -144,10 +142,36 @@ class TestSweepCollectorPause:
 
         gc.callbacks.append(count)
         try:
-            sweep_loss(cfg, range(1, 1001))
+            sweep()
         finally:
             gc.callbacks.remove(count)
+        return started
+
+    def test_warm_sweep_runs_at_most_two_collections(self):
+        gc.enable()
+        cfg = default_config()
+        sweep_loss(cfg, range(1, 1001))
+        started = self._collections_started(lambda: sweep_loss(cfg, range(1, 1001)))
         assert len(started) <= 2, started
+
+    def test_sweep_that_fits_the_young_generation_starts_no_collection(self):
+        gc.enable()
+        cfg = default_config()
+        sweep_loss(cfg, range(1, 11))
+        gc.collect()
+        assert self._collections_started(lambda: sweep_loss(cfg, range(1, 11))) == []
+
+    def test_sweep_with_automatic_collection_off_starts_no_collection(self):
+        gc.enable()
+        cfg = default_config()
+        sweep_loss(cfg, range(1, 1001))
+        threshold = gc.get_threshold()
+        gc.set_threshold(0)
+        try:
+            started = self._collections_started(lambda: sweep_loss(cfg, range(1, 1001)))
+        finally:
+            gc.set_threshold(*threshold)
+        assert started == []
 
     @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize("close_first", [0, 1])
@@ -180,7 +204,7 @@ class TestSweepCollectorPause:
     def test_failure_while_building_restores_collector(self, enabled):
         _set_collector(enabled)
         with pytest.raises(RuntimeError, match="column read failed"):
-            sweep_loss(default_config(), range(1, 5), map_fn=_fail_after_first_transmission_loss)
+            sweep_loss(default_config(), range(1, 201), map_fn=_fail_after_first_transmission_loss)
         assert gc.isenabled() is enabled
 
     def test_concurrent_sweeps_leave_collector_enabled(self):
