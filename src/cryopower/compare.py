@@ -161,8 +161,8 @@ class _CollectorPause:
     object is part of the result. Pauses may overlap across threads: the
     first to open records whether the collector was enabled and disables
     it, and the last to close re-enables it, only if it was enabled, and
-    then runs one young collection, so that the call which filled the
-    young generation pays for its pass.
+    then runs the collection that the pause held back, so that the call
+    which filled the young generation pays for its pass.
     """
 
     def __init__(self) -> None:
@@ -184,7 +184,13 @@ class _CollectorPause:
             if resume:
                 gc.enable()
         if resume:
-            gc.collect(0)
+            # The young generation is over its threshold now, so the next
+            # tracked allocation starts the collection the pause held back,
+            # of the generations the collector finds due. Allocate one here,
+            # so that this call pays for it. gc.collect(0) would never
+            # examine the older generations in a loop of sweeps, and cyclic
+            # garbage promoted there would stay unfreed.
+            [None]
 
 
 # One per process, as the collector it pauses is.
