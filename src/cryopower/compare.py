@@ -231,9 +231,9 @@ def sweep_loss(
     call over the five architectures and may be replaced by a pool's map;
     results are assembled in input order either way.
 
-    When the result records outnumber the young generation's collection
-    threshold, the cyclic garbage collector is paused while they are built,
-    and one young collection follows. Concurrent calls share one pause,
+    When the result records would start a young collection, the cyclic
+    garbage collector is paused while they are built, and the one
+    collection it held back follows. Concurrent calls share one pause,
     which ends when the last of them is done; code that toggles :mod:`gc`
     from another thread during a sweep may find it re-enabled.
     """
