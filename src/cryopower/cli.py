@@ -30,7 +30,7 @@ from .compare import (
     optimize,
     scorecard,
 )
-from .configio import ConfigError, config_paths, parse_config, serialize_config, set_value
+from .configio import ConfigError, config_paths, get_value, parse_config, serialize_config, set_value
 from .model import ARCHITECTURES, ArchitectureKind, SystemConfig, default_config, validate
 from .noise import white_floor_ratio
 
@@ -117,6 +117,8 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     if value <= 0:
         raise argparse.ArgumentTypeError(f"expected a value > 0, got {text!r}")
     return value
@@ -288,8 +290,6 @@ def _sweep_values(config: SystemConfig, param: str, start: float, stop: float, s
         raise CliError(f"bounds for {param!r} must be finite, got [{start!r}, {stop!r}]", EXIT_BAD_INVOCATION)
     if stop < start:
         raise CliError(f"sweep range is inverted: from {start!r} to {stop!r}", EXIT_BAD_INVOCATION)
-    from .configio import get_value
-
     leaf = get_value(config, path)
     if isinstance(leaf, bool) or isinstance(leaf, str):
         raise CliError(f"sweep parameter must be numeric: {param!r}", EXIT_BAD_INVOCATION)

@@ -352,6 +352,8 @@ def devices_under_budget(
     when its cost is within a slack of the budget that absorbs rounding:
     ``1e-12`` of the budget, capped at half the cost of one more device there.
     """
+    if not math.isfinite(total_budget):
+        raise ValueError(f"total_budget must be finite, got {total_budget!r}")
     if total_budget <= 0:
         raise ValueError(f"total_budget must be > 0, got {total_budget!r}")
     power_per_device = config.load.power_per_device
@@ -444,6 +446,8 @@ def scorecard(
     """
     if operating_device_count < 1:
         raise ValueError(f"operating_device_count must be >= 1, got {operating_device_count!r}")
+    if not _is_whole(operating_device_count):
+        raise ValueError(f"operating_device_count must be a whole number, got {operating_device_count!r}")
     table = _bundled_score_table() if score_table is None else score_table
     _check_score_table(table)
     point_config = _with_device_count(config, operating_device_count)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import _FIELD, MISSING, dataclass, field, fields
 from enum import Enum
-from typing import NamedTuple
+from operator import attrgetter, le, lt
+from typing import Callable, NamedTuple
 
 
 class ArchitectureKind(Enum):
@@ -237,157 +238,101 @@ def _is_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _check_number(out: list[Violation], path: str, value: object) -> bool:
-    if not _is_number(value):
-        out.append(Violation(path, f"must be a number, got {value!r}"))
-        return False
-    if not math.isfinite(value):
-        out.append(Violation(path, f"must be finite, got {value!r}"))
-        return False
-    return True
+# Each bound, by the text its message prints, with the test that a value of
+# the field's type violates it.
+_BOUNDS: dict[str, Callable[[object], bool]] = {
+    "> 0": lambda x: x <= 0,
+    ">= 0": lambda x: x < 0,
+    ">= 1": lambda x: x < 1,
+    "in (0, 1]": lambda x: not 0 < x <= 1,
+    "in [0, 1]": lambda x: not 0 <= x <= 1,
+    "in (0, 1)": lambda x: not 0 < x < 1,
+    f"one of {RESISTANCE_MODES}": lambda x: x not in RESISTANCE_MODES,
+}
+
+# A relation "<op> <other path>" is violated as written here, not as ``not``
+# of the relation, so that a NaN on either side violates nothing.
+_RELATIONS: dict[str, Callable[[object, object], bool]] = {">=": lt, ">": le}
+
+# The types each type check accepts; a number or an integer is never a bool.
+_TYPES = {"a number": (int, float), "an integer": int, "a boolean": bool}
+
+# Every check validate makes, in report order: field path, type (a _TYPES key)
+# and bound (a _BOUNDS key or a relation), None for none. A relation needs both
+# values to be numbers and its field to pass its type check; warm >= cold has none.
+_RULES: tuple[tuple[str, str | None, str | None], ...] = (
+    ("wire.resistance_warm", "a number", "> 0"),
+    ("wire.resistance_cold", "a number", "> 0"),
+    ("wire.resistance_warm", None, ">= wire.resistance_cold"),
+    ("wire.resistance_mode", None, f"one of {RESISTANCE_MODES}"),
+    ("wire.thermal_load_per_wire", "a number", ">= 0"),
+    ("wire.wire_count", "an integer", ">= 1"),
+    ("load.power_per_device", "a number", ">= 0"),
+    ("load.device_count", "an integer", ">= 0"),
+    ("load.v_rx", "a number", "> 0"),
+    ("load.v_rx_hv", "a number", ">= load.v_rx"),
+    ("coupling.eta_rad_r", "a number", "in (0, 1]"),
+    ("coupling.eta_coup_ant", "a number", "in (0, 1]"),
+    ("coupling.eta_coup_coil", "a number", "in (0, 1]"),
+    ("coupling.loss_to_cold_fraction", "a number", "in [0, 1]"),
+    ("converter.r_hs", "a number", ">= 0"),
+    ("converter.r_ls", "a number", ">= 0"),
+    ("converter.r_l", "a number", ">= 0"),
+    ("converter.v_out", "a number", "> 0"),
+    ("converter.v_in", "a number", "> converter.v_out"),
+    ("converter.i_out", "a number", ">= 0"),
+    ("converter.t_r", "a number", ">= 0"),
+    ("converter.t_f", "a number", ">= 0"),
+    ("converter.f_sw", "a number", ">= 0"),
+    ("converter.duty", "a number", "in (0, 1)"),
+    ("converter.include_loss", "a boolean", None),
+    ("converter.attach_hv_nonradiative", "a boolean", None),
+    ("cooling.t_cold", "a number", "> 0"),
+    ("cooling.t_ambient", "a number", "> cooling.t_cold"),
+    ("cooling.eta_c", "a number", "in (0, 1]"),
+    ("stage.q_ambient_leak", "a number", ">= 0"),
+    ("stage.q_electronics", "a number", ">= 0"),
+    ("noise.s_white", "a number", "> 0"),
+    ("noise.f_corner", "a number", ">= 0"),
+    ("noise.wireless_floor_ratio", "a number", "in (0, 1]"),
+    ("noise.switching_spur", "a number", ">= 0"),
+)
 
 
-def _check_int(out: list[Violation], path: str, value: object) -> bool:
-    if not isinstance(value, int) or isinstance(value, bool):
-        out.append(Violation(path, f"must be an integer, got {value!r}"))
-        return False
-    return True
+def _compile_rule(path: str, kind: str | None, bound: str | None) -> tuple:
+    """One _RULES entry as validate reads it, with its getters and tests looked up once."""
+    if bound is None or bound in _BOUNDS:
+        return path, attrgetter(path), kind, _TYPES.get(kind), bound, _BOUNDS.get(bound), None
+    relation, other = bound.split(" ")
+    return path, attrgetter(path), kind, _TYPES.get(kind), bound, _RELATIONS[relation], attrgetter(other)
 
 
-def _check_bool(out: list[Violation], path: str, value: object) -> None:
-    if not isinstance(value, bool):
-        out.append(Violation(path, f"must be a boolean, got {value!r}"))
+_CHECKS = tuple(_compile_rule(*rule) for rule in _RULES)
 
 
 def validate(config: SystemConfig) -> ValidationResult:
-    """Check every invariant of ``config``; violations name the field path.
+    """Check every invariant of ``config``, in ``_RULES`` order; violations name the field path.
 
     Violations are returned as data rather than raised: an invalid config is
     a legitimate value to inspect, e.g. when diagnosing a config file.
     """
     v: list[Violation] = []
-    wire, load, coup = config.wire, config.load, config.coupling
-    conv, cool, stage, noise = config.converter, config.cooling, config.stage, config.noise
-
-    if _check_number(v, "wire.resistance_warm", wire.resistance_warm) and wire.resistance_warm <= 0:
-        v.append(Violation("wire.resistance_warm", f"must be > 0, got {wire.resistance_warm!r}"))
-    if _check_number(v, "wire.resistance_cold", wire.resistance_cold) and wire.resistance_cold <= 0:
-        v.append(Violation("wire.resistance_cold", f"must be > 0, got {wire.resistance_cold!r}"))
-    if (
-        _is_number(wire.resistance_warm)
-        and _is_number(wire.resistance_cold)
-        and wire.resistance_warm < wire.resistance_cold
-    ):
-        v.append(
-            Violation(
-                "wire.resistance_warm",
-                f"must be >= wire.resistance_cold ({wire.resistance_cold!r}), "
-                f"got {wire.resistance_warm!r}",
-            )
-        )
-    if wire.resistance_mode not in RESISTANCE_MODES:
-        v.append(
-            Violation(
-                "wire.resistance_mode",
-                f"must be one of {RESISTANCE_MODES}, got {wire.resistance_mode!r}",
-            )
-        )
-    if _check_number(v, "wire.thermal_load_per_wire", wire.thermal_load_per_wire) and wire.thermal_load_per_wire < 0:
-        v.append(Violation("wire.thermal_load_per_wire", f"must be >= 0, got {wire.thermal_load_per_wire!r}"))
-    if _check_int(v, "wire.wire_count", wire.wire_count) and wire.wire_count < 1:
-        v.append(Violation("wire.wire_count", f"must be >= 1, got {wire.wire_count!r}"))
-
-    if _check_number(v, "load.power_per_device", load.power_per_device) and load.power_per_device < 0:
-        v.append(Violation("load.power_per_device", f"must be >= 0, got {load.power_per_device!r}"))
-    if _check_int(v, "load.device_count", load.device_count) and load.device_count < 0:
-        v.append(Violation("load.device_count", f"must be >= 0, got {load.device_count!r}"))
-    if _check_number(v, "load.v_rx", load.v_rx) and load.v_rx <= 0:
-        v.append(Violation("load.v_rx", f"must be > 0, got {load.v_rx!r}"))
-    if (
-        _check_number(v, "load.v_rx_hv", load.v_rx_hv)
-        and _is_number(load.v_rx)
-        and load.v_rx_hv < load.v_rx
-    ):
-        v.append(
-            Violation("load.v_rx_hv", f"must be >= load.v_rx ({load.v_rx!r}), got {load.v_rx_hv!r}")
-        )
-
-    for name in ("eta_rad_r", "eta_coup_ant", "eta_coup_coil"):
-        path = f"coupling.{name}"
-        value = getattr(coup, name)
-        if _check_number(v, path, value) and not (0 < value <= 1):
-            v.append(Violation(path, f"must be in (0, 1], got {value!r}"))
-    if _check_number(v, "coupling.loss_to_cold_fraction", coup.loss_to_cold_fraction) and not (
-        0 <= coup.loss_to_cold_fraction <= 1
-    ):
-        v.append(
-            Violation(
-                "coupling.loss_to_cold_fraction",
-                f"must be in [0, 1], got {coup.loss_to_cold_fraction!r}",
-            )
-        )
-
-    for name in ("r_hs", "r_ls", "r_l"):
-        path = f"converter.{name}"
-        value = getattr(conv, name)
-        if _check_number(v, path, value) and value < 0:
-            v.append(Violation(path, f"must be >= 0, got {value!r}"))
-    if _check_number(v, "converter.v_out", conv.v_out) and conv.v_out <= 0:
-        v.append(Violation("converter.v_out", f"must be > 0, got {conv.v_out!r}"))
-    if (
-        _check_number(v, "converter.v_in", conv.v_in)
-        and _is_number(conv.v_out)
-        and conv.v_in <= conv.v_out
-    ):
-        v.append(
-            Violation("converter.v_in", f"must be > converter.v_out ({conv.v_out!r}), got {conv.v_in!r}")
-        )
-    if _check_number(v, "converter.i_out", conv.i_out) and conv.i_out < 0:
-        v.append(Violation("converter.i_out", f"must be >= 0, got {conv.i_out!r}"))
-    for name in ("t_r", "t_f", "f_sw"):
-        path = f"converter.{name}"
-        value = getattr(conv, name)
-        if _check_number(v, path, value) and value < 0:
-            v.append(Violation(path, f"must be >= 0, got {value!r}"))
-    if _check_number(v, "converter.duty", conv.duty) and not (0 < conv.duty < 1):
-        v.append(Violation("converter.duty", f"must be in (0, 1), got {conv.duty!r}"))
-    _check_bool(v, "converter.include_loss", conv.include_loss)
-    _check_bool(v, "converter.attach_hv_nonradiative", conv.attach_hv_nonradiative)
-
-    if _check_number(v, "cooling.t_cold", cool.t_cold) and cool.t_cold <= 0:
-        v.append(Violation("cooling.t_cold", f"must be > 0, got {cool.t_cold!r}"))
-    if (
-        _check_number(v, "cooling.t_ambient", cool.t_ambient)
-        and _is_number(cool.t_cold)
-        and cool.t_ambient <= cool.t_cold
-    ):
-        v.append(
-            Violation("cooling.t_ambient", f"must be > cooling.t_cold ({cool.t_cold!r}), got {cool.t_ambient!r}")
-        )
-    if _check_number(v, "cooling.eta_c", cool.eta_c) and not (0 < cool.eta_c <= 1):
-        v.append(Violation("cooling.eta_c", f"must be in (0, 1], got {cool.eta_c!r}"))
-
-    if _check_number(v, "stage.q_ambient_leak", stage.q_ambient_leak) and stage.q_ambient_leak < 0:
-        v.append(Violation("stage.q_ambient_leak", f"must be >= 0, got {stage.q_ambient_leak!r}"))
-    if _check_number(v, "stage.q_electronics", stage.q_electronics) and stage.q_electronics < 0:
-        v.append(Violation("stage.q_electronics", f"must be >= 0, got {stage.q_electronics!r}"))
-
-    if _check_number(v, "noise.s_white", noise.s_white) and noise.s_white <= 0:
-        v.append(Violation("noise.s_white", f"must be > 0, got {noise.s_white!r}"))
-    if _check_number(v, "noise.f_corner", noise.f_corner) and noise.f_corner < 0:
-        v.append(Violation("noise.f_corner", f"must be >= 0, got {noise.f_corner!r}"))
-    if _check_number(v, "noise.wireless_floor_ratio", noise.wireless_floor_ratio) and not (
-        0 < noise.wireless_floor_ratio <= 1
-    ):
-        v.append(
-            Violation(
-                "noise.wireless_floor_ratio",
-                f"must be in (0, 1], got {noise.wireless_floor_ratio!r}",
-            )
-        )
-    if _check_number(v, "noise.switching_spur", noise.switching_spur) and noise.switching_spur < 0:
-        v.append(Violation("noise.switching_spur", f"must be >= 0, got {noise.switching_spur!r}"))
-
+    for path, get, kind, types, bound, violated, get_other in _CHECKS:
+        value = get(config)
+        if kind is not None and (not isinstance(value, types) or (types is not bool and isinstance(value, bool))):
+            problem = f"must be {kind}"
+        elif kind == "a number" and not math.isfinite(value):
+            problem = "must be finite"
+        elif get_other is not None:
+            other = get_other(config)
+            if not (_is_number(value) and _is_number(other) and violated(value, other)):
+                continue
+            problem = f"must be {bound} ({other!r})"
+        elif violated is not None and violated(value):
+            problem = f"must be {bound}"
+        else:
+            continue
+        v.append(Violation(path, f"{problem}, got {value!r}"))
     return ValidationResult(tuple(v))
 
 

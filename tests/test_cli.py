@@ -522,6 +522,45 @@ class TestExitCodes:
         assert main(["evaluate", "--arch", "wired", "--config", str(path)]) == EXIT_INVALID_CONFIG
         assert "coupling.eta_coup_coil" in capsys.readouterr().err
 
+    def test_invalid_fields_in_several_sections(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(
+            "wire.resistance_warm = -inf\n"
+            "wire.wire_count = 0\n"
+            "load.device_count = -1\n"
+            "load.v_rx_hv = 1.5\n"
+            "coupling.eta_coup_coil = 1.5\n"
+            "converter.v_out = 0\n"
+            "converter.v_in = -1\n"
+            "converter.duty = 1\n"
+            "cooling.t_cold = 300\n"
+            "cooling.t_ambient = 4\n"
+            "noise.s_white = nan\n"
+        )
+        assert main(["evaluate", "--config", str(path), "--arch", "wired"]) == EXIT_INVALID_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: config invalid: wire.resistance_warm: must be finite, got -inf\n"
+            "config invalid: wire.resistance_warm: must be >= wire.resistance_cold (12.0), got -inf\n"
+            "config invalid: wire.wire_count: must be >= 1, got 0\n"
+            "config invalid: load.device_count: must be >= 0, got -1\n"
+            "config invalid: load.v_rx_hv: must be >= load.v_rx (2.0), got 1.5\n"
+            "config invalid: coupling.eta_coup_coil: must be in (0, 1], got 1.5\n"
+            "config invalid: converter.v_out: must be > 0, got 0.0\n"
+            "config invalid: converter.v_in: must be > converter.v_out (0.0), got -1.0\n"
+            "config invalid: converter.duty: must be in (0, 1), got 1.0\n"
+            "config invalid: cooling.t_ambient: must be > cooling.t_cold (300.0), got 4.0\n"
+            "config invalid: noise.s_white: must be finite, got nan\n"
+        )
+
+    @pytest.mark.parametrize("budget", ["nan", "inf", "-inf"])
+    def test_non_finite_budget_is_malformed(self, budget, capsys):
+        assert main(["compare", f"--budget={budget}"]) == EXIT_BAD_INVOCATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --budget: expected a finite number, got '{budget}'" in captured.err
+
     def test_missing_config_file(self, tmp_path):
         code, _, err = invoke("evaluate", "--arch", "wired", "--config", str(tmp_path / "nope.cfg"))
         assert code == EXIT_IO_ERROR

@@ -228,6 +228,64 @@ class TestSweepCollectorPause:
             sweep_loss(default_config(), range(1, 201), map_fn=_fail_after_first_transmission_loss)
         assert gc.isenabled() is enabled
 
+    def test_pause_opened_during_another_pause_opening(self, monkeypatch):
+        # A stand-in for the gc module, whose first disable() lets a second
+        # thread open its pause before the first pause has counted itself.
+        # The shipped pause makes the second thread wait for its lock, so
+        # that wait times out; a form that races lets it through, and then
+        # either re-enables the collector while the second pause is still
+        # open or leaves it disabled after both have closed.
+        start_second, second_opened, first_closed = threading.Event(), threading.Event(), threading.Event()
+
+        class Collector:
+            enabled = True
+            first_disable = True
+
+            def isenabled(self):
+                return self.enabled
+
+            def enable(self):
+                self.enabled = True
+
+            def disable(self):
+                self.enabled = False
+                if self.first_disable:
+                    self.first_disable = False
+                    start_second.set()
+                    second_opened.wait(0.5)
+
+            def get_threshold(self):
+                return (700, 10, 10)
+
+            def get_count(self):
+                return (0, 0, 0)
+
+        collector = Collector()
+        monkeypatch.setattr(compare, "gc", collector)
+        enabled_in_second = []
+
+        def second_records():
+            second_opened.set()
+            first_closed.wait(10)
+            enabled_in_second.append(collector.enabled)
+            yield None
+
+        def open_second():
+            if start_second.wait(10):
+                compare._build_records(second_records(), 10_000)
+
+        second = threading.Thread(target=open_second)
+        second.start()
+        try:
+            assert compare._build_records(iter([None]), 10_000) == (None,)
+        finally:
+            first_closed.set()
+            start_second.set()
+            second.join(10)
+        assert not second.is_alive()
+        assert enabled_in_second == [False], "collector re-enabled while a pause was open"
+        assert collector.enabled, "collector left disabled after every pause closed"
+
     def test_concurrent_sweeps_leave_collector_enabled(self):
         gc.enable()
         cfg = default_config()
@@ -363,15 +421,21 @@ class TestDevicesUnderBudget:
 
     def test_domain_errors(self):
         cfg = default_config()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("total_budget must be > 0, got 0.0")):
             devices_under_budget(A.WIRED, cfg, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("total_budget must be > 0, got -1.0")):
             devices_under_budget(A.WIRED, cfg, -1.0)
         zero_load = replace(cfg, load=replace(cfg.load, power_per_device=0.0))
         with pytest.raises(ValueError):
             devices_under_budget(A.WIRED, zero_load, 1.0)
         with pytest.raises(ValueError):
             devices_under_budget(A.WIRED, cfg, 1.0, method="sorcery")
+
+    @pytest.mark.parametrize("method", ["closed_form", "bisection"])
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf])
+    def test_non_finite_budget_rejected_by_both_methods(self, method, budget):
+        with pytest.raises(ValueError, match=re.escape(f"total_budget must be finite, got {budget!r}")):
+            devices_under_budget(A.WIRED, default_config(), budget, method)
 
     def test_wireless_ratio_to_wired(self):
         cfg = default_config()
@@ -523,8 +587,18 @@ class TestScorecard:
         assert reads == 1
 
     def test_device_count_bound(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be >= 1, got 0"):
             scorecard(default_config(), 0)
+
+    @pytest.mark.parametrize("count", [1.5, math.nan, math.inf])
+    def test_non_whole_device_count_rejected(self, count):
+        with pytest.raises(ValueError, match=re.escape(f"must be a whole number, got {count!r}")):
+            scorecard(default_config(), count)
+
+    def test_integral_float_count_kept_as_given(self):
+        report = scorecard(default_config(), 200.0)
+        assert report.device_count == 200.0 and isinstance(report.device_count, float)
+        assert report.rows == scorecard(default_config(), 200).rows
 
 
 class TestResolveParameters:

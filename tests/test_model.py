@@ -1,9 +1,12 @@
 """Domain type, validation, and default-parameter tests."""
 
+import itertools
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cryopower.model import (
     ARCHITECTURES,
@@ -16,6 +19,8 @@ from cryopower.model import (
     require_valid,
     validate,
 )
+
+import validate_reference
 
 
 class TestArchitectureKind:
@@ -195,3 +200,71 @@ class TestValidate:
         with pytest.raises(ValueError, match="coupling.eta_coup_coil"):
             require_valid(cfg)
         assert require_valid(default_config()) == default_config()
+
+
+_PATHS = tuple(
+    f"{section.name}.{leaf.name}" for section in fields(SystemConfig) for leaf in fields(section.default_factory)
+)
+
+# Values that sit on, off and across every bound, of every wrong type, and
+# equal to the defaults that the relations compare against.
+_SPECIAL_VALUES = (
+    0, -0.0, 1, -1, 0.5, 1.5, 2.0, 3.3, 4.0, 12.0, 16.0, 20.0, 300.0,
+    math.inf, -math.inf, math.nan, 1e-300, 5e-324, 1e300,
+    True, False, None, "x", "warm",
+)
+
+# Each relation as (field, the field it is compared with).
+_RELATIONS = (
+    ("wire.resistance_warm", "wire.resistance_cold"),
+    ("load.v_rx_hv", "load.v_rx"),
+    ("converter.v_in", "converter.v_out"),
+    ("cooling.t_ambient", "cooling.t_cold"),
+)
+
+
+def _with_values(values: dict) -> SystemConfig:
+    cfg = default_config()
+    for path, value in values.items():
+        section, leaf = path.split(".")
+        cfg = replace(cfg, **{section: replace(getattr(cfg, section), **{leaf: value})})
+    return cfg
+
+
+def _same_as_reference(cfg: SystemConfig) -> None:
+    result, expected = validate(cfg), validate_reference.validate(cfg)
+    assert type(result) is type(expected)
+    assert [tuple(v) for v in result.violations] == [tuple(v) for v in expected.violations]
+
+
+class TestValidateMatchesReference:
+    """The table-driven validate against the hand-written form it replaced."""
+
+    def test_every_field_is_checked(self):
+        assert len(_PATHS) == 34
+        for path in _PATHS:
+            assert path in _violation_paths(_with_values({path: None}))
+
+    @given(st.dictionaries(st.sampled_from(_PATHS), st.sampled_from(_SPECIAL_VALUES), max_size=len(_PATHS)))
+    def test_same_violations_in_the_same_order(self, values):
+        _same_as_reference(_with_values(values))
+
+    @pytest.mark.parametrize("path, other", _RELATIONS)
+    def test_relations_on_every_pair_of_values(self, path, other):
+        # Both sides of every relation, equal operands and NaN on either side included.
+        for value, other_value in itertools.product(_SPECIAL_VALUES, repeat=2):
+            _same_as_reference(_with_values({path: value, other: other_value}))
+
+    def test_infinite_warm_resistance_also_breaks_the_relation(self):
+        cfg = _with_values({"wire.resistance_warm": -math.inf})
+        assert [str(v) for v in validate(cfg).violations] == [
+            "wire.resistance_warm: must be finite, got -inf",
+            "wire.resistance_warm: must be >= wire.resistance_cold (12.0), got -inf",
+        ]
+
+    def test_converter_output_is_checked_before_its_input(self):
+        cfg = _with_values({"converter.v_out": 0, "converter.v_in": math.nan})
+        assert [str(v) for v in validate(cfg).violations] == [
+            "converter.v_out: must be > 0, got 0",
+            "converter.v_in: must be finite, got nan",
+        ]
