@@ -114,15 +114,12 @@ def converter_loss(spec: ConverterSpec, p_rx: float) -> float:
 def carries_converter(arch: ArchitectureKind, spec: ConverterSpec) -> bool:
     """Whether ``arch`` passes its power through the cold buck converter ``spec``.
 
-    HV wired always does and the HV non-radiative hybrid does when
-    ``attach_hv_nonradiative`` is set; ``include_loss = False`` removes the
-    stage from every architecture.
+    It does when ``include_loss`` and the flag ``arch`` declares are both set:
+    ``include_loss`` itself for HV wired, ``attach_hv_nonradiative`` for the hybrid.
     """
-    if not spec.include_loss:
+    if not spec.include_loss or arch._converter_flag is None:
         return False
-    if arch is ArchitectureKind.HV_WIRED:
-        return True
-    return arch is ArchitectureKind.HV_NON_RADIATIVE and spec.attach_hv_nonradiative
+    return getattr(spec, arch._converter_flag)
 
 
 class _Coefficients(NamedTuple):
@@ -165,7 +162,7 @@ def _coefficients(
     couple_converter_input: bool = True,
     check: bool = True,
 ) -> _Coefficients:
-    """The loss coefficients of ``arch``: the one place that tells the architectures apart.
+    """The loss coefficients of ``arch``, from the rail, link and converter flag it declares.
 
     ``v_rx_hv`` and ``wire_count`` (floats or arrays that broadcast together)
     replace the configured values. With coupling on, a given ``v_rx_hv`` sets
@@ -177,26 +174,20 @@ def _coefficients(
     ``check=False``; its callers run one point through the scalar path first.
     """
     wire, load, coup, conv = config.wire, config.load, config.coupling, config.converter
-    v_hv = load.v_rx_hv if v_rx_hv is None else v_rx_hv
     n = wire.wire_count if wire_count is None else wire_count
     r_wire = wire.effective_resistance
-    linear, rail, cold_fraction = 0.0, None, coup.loss_to_cold_fraction
-    if arch is ArchitectureKind.WIRED or arch is ArchitectureKind.HV_WIRED:
-        rail = load.v_rx if arch is ArchitectureKind.WIRED else v_hv
+    rail, linear, cold_fraction = arch._rail, 0.0, 1.0  # rail: the LoadSpec field name, then its voltage
+    if rail is not None:
+        rail = getattr(load, rail) if v_rx_hv is None or rail == "v_rx" else v_rx_hv
         if check:
             _check_rail(rail, r_wire, n)
-        cold_fraction = 1.0
-    elif arch is ArchitectureKind.RADIATIVE:
-        if check:
-            _check_efficiency("eta_rad_r", coup.eta_rad_r)
-            _check_efficiency("eta_coup_ant", coup.eta_coup_ant)
-        linear = 1.0 / (coup.eta_rad_r * coup.eta_coup_ant) - 1.0
-    elif arch is ArchitectureKind.NON_RADIATIVE or arch is ArchitectureKind.HV_NON_RADIATIVE:
-        if check:
-            _check_efficiency("eta_coup_coil", coup.eta_coup_coil)
-        linear = 1.0 / coup.eta_coup_coil - 1.0
-    else:  # pragma: no cover - enum is closed
-        raise TypeError(f"unknown architecture: {arch!r}")
+    else:
+        eta, cold_fraction = 1.0, coup.loss_to_cold_fraction
+        for name in arch._link:
+            if check:
+                _check_efficiency(name, getattr(coup, name))
+            eta *= getattr(coup, name)
+        linear = 1.0 / eta - 1.0
 
     converter = None
     if carries_converter(arch, conv):

@@ -19,11 +19,18 @@ from typing import Callable, NamedTuple
 class ArchitectureKind(Enum):
     """The five power-transfer architectures under comparison."""
 
-    WIRED = "wired"
-    HV_WIRED = "hv_wired"
-    RADIATIVE = "radiative"
-    NON_RADIATIVE = "non_radiative"
-    HV_NON_RADIATIVE = "hv_non_radiative"
+    # label, the LoadSpec field of the I^2 R rail (None: a wireless link), the CouplingSpec
+    # efficiencies the link multiplies, and the ConverterSpec flag that adds the cold stage.
+    WIRED = "wired", "v_rx", (), None
+    HV_WIRED = "hv_wired", "v_rx_hv", (), "include_loss"
+    RADIATIVE = "radiative", None, ("eta_rad_r", "eta_coup_ant"), None
+    NON_RADIATIVE = "non_radiative", None, ("eta_coup_coil",), None
+    HV_NON_RADIATIVE = "hv_non_radiative", None, ("eta_coup_coil",), "attach_hv_nonradiative"
+
+    def __new__(cls, label: str, rail: str | None, link: tuple[str, ...], converter_flag: str | None):
+        member = object.__new__(cls)
+        member._value_, member._rail, member._link, member._converter_flag = label, rail, link, converter_flag
+        return member
 
     @property
     def label(self) -> str:
@@ -32,11 +39,7 @@ class ArchitectureKind(Enum):
     @property
     def is_wireless(self) -> bool:
         """True for architectures that deliver power without wires between stages."""
-        return self in (
-            ArchitectureKind.RADIATIVE,
-            ArchitectureKind.NON_RADIATIVE,
-            ArchitectureKind.HV_NON_RADIATIVE,
-        )
+        return self._rail is None
 
     @classmethod
     def from_label(cls, label: str) -> "ArchitectureKind":
@@ -238,6 +241,13 @@ def _is_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_finite(value: int | float) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past float range
+        return False
+
+
 # Each bound, by the text its message prints, with the test that a value of
 # the field's type violates it.
 _BOUNDS: dict[str, Callable[[object], bool]] = {
@@ -321,7 +331,7 @@ def validate(config: SystemConfig) -> ValidationResult:
         value = get(config)
         if kind is not None and (not isinstance(value, types) or (types is not bool and isinstance(value, bool))):
             problem = f"must be {kind}"
-        elif kind == "a number" and not math.isfinite(value):
+        elif kind in ("a number", "an integer") and not _is_finite(value):
             problem = "must be finite"
         elif get_other is not None:
             other = get_other(config)

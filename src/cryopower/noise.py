@@ -54,29 +54,27 @@ def white_floor_ratio(arch: ArchitectureKind, config: SystemConfig) -> float:
     Wired is the reference (1.0); the HV rail improves by the voltage
     step-down ratio; wireless chains sit at ``wireless_floor_ratio``.
     """
-    if arch is ArchitectureKind.WIRED:
-        return 1.0
-    if arch is ArchitectureKind.HV_WIRED:
-        return config.load.v_rx / config.load.v_rx_hv
-    return config.noise.wireless_floor_ratio
+    if arch._rail is None:
+        return config.noise.wireless_floor_ratio
+    return 1.0 if arch._rail == "v_rx" else config.load.v_rx / config.load.v_rx_hv
 
 
 def rail_noise(arch: ArchitectureKind, f: float, config: SystemConfig) -> float:
     """Rail-referred noise density of ``arch`` at frequency ``f``, in V^2/Hz.
 
-    Wireless rails are flat: beyond the flicker corner the floor is set by
-    the conversion stages, not the room-temperature supply.
+    Wireless rails are flat, set by the conversion stages and not the supply.
+    Only ``hv_wired`` adds the switching spur, even when the hybrid has a converter.
     """
     spec = config.noise
-    if arch is ArchitectureKind.WIRED:
+    if arch._rail is None:
+        if f <= 0:
+            raise ValueError(f"frequency must be > 0, got {f!r}")
+        return spec.s_white * spec.wireless_floor_ratio
+    if arch._rail == "v_rx":
         return supply_noise(f, spec)
-    if arch is ArchitectureKind.HV_WIRED:
-        step_down = config.load.v_rx_hv / config.load.v_rx
-        spur = spec.switching_spur * spur_shape(f, config.converter.f_sw)
-        return supply_noise(f, spec) / step_down + spur
-    if f <= 0:
-        raise ValueError(f"frequency must be > 0, got {f!r}")
-    return spec.s_white * spec.wireless_floor_ratio
+    step_down = config.load.v_rx_hv / config.load.v_rx
+    spur = spec.switching_spur * spur_shape(f, config.converter.f_sw)
+    return supply_noise(f, spec) / step_down + spur
 
 
 def rail_noise_density(arch: ArchitectureKind, f: float, config: SystemConfig) -> NoiseDensity:

@@ -554,6 +554,17 @@ class TestExitCodes:
             "config invalid: noise.s_white: must be finite, got nan\n"
         )
 
+    @pytest.mark.parametrize("subcommand", [["evaluate", "--arch", "wired"], ["compare"]])
+    @pytest.mark.parametrize("path", ["load.device_count", "wire.wire_count"])
+    def test_integer_past_float_range_is_invalid(self, tmp_path, capsys, subcommand, path):
+        digits = "9" * 400
+        config = tmp_path / "huge.cfg"
+        config.write_text(f"{path} = {digits}\n")
+        assert main([*subcommand, "--config", str(config)]) == EXIT_INVALID_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: config invalid: {path}: must be finite, got {digits}\n"
+
     @pytest.mark.parametrize("budget", ["nan", "inf", "-inf"])
     def test_non_finite_budget_is_malformed(self, budget, capsys):
         assert main(["compare", f"--budget={budget}"]) == EXIT_BAD_INVOCATION

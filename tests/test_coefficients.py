@@ -32,6 +32,8 @@ from cryopower.thermal import _heat_grid, carnot_cop, heat_budget_at
 from strategies import finite, system_configs
 
 A = ArchitectureKind
+# Written out, as the converter rule below is, rather than read from the code under test.
+WIRELESS = (A.RADIATIVE, A.NON_RADIATIVE, A.HV_NON_RADIATIVE)
 
 # The record evaluates every term in its leaf function's operation order, so
 # every value is compared by float.hex, subnormal powers included. Powers are
@@ -63,7 +65,7 @@ def leaf_values(arch, point, p):
     return {
         "transmission_loss": transmission,
         "converter_loss": converter_loss(conv, p) if carried else 0.0,
-        "p_load": 0.0 if arch.is_wireless else wire.thermal_load_per_wire * wire.wire_count,
+        "p_load": 0.0 if arch in WIRELESS else wire.thermal_load_per_wire * wire.wire_count,
         "cop": carnot_cop(cool.t_cold, cool.t_ambient, cool.eta_c),
     }
 

@@ -14,6 +14,7 @@ from cryopower.model import (
     CouplingSpec,
     LoadSpec,
     SystemConfig,
+    Violation,
     WireSpec,
     default_config,
     require_valid,
@@ -261,6 +262,21 @@ class TestValidateMatchesReference:
             "wire.resistance_warm: must be finite, got -inf",
             "wire.resistance_warm: must be >= wire.resistance_cold (12.0), got -inf",
         ]
+
+    @pytest.mark.parametrize("path", ["wire.resistance_warm", "load.v_rx", "noise.switching_spur"])
+    def test_number_past_float_range_departs_from_reference(self, path):
+        # Deliberate departure: the reference raises where validate reports the value.
+        cfg = _with_values({path: 10**400})
+        with pytest.raises(OverflowError):
+            validate_reference.validate(cfg)
+        assert Violation(path, f"must be finite, got {10**400!r}") in validate(cfg).violations
+
+    @pytest.mark.parametrize("path", ["load.device_count", "wire.wire_count"])
+    def test_integer_past_float_range_departs_from_reference(self, path):
+        # The reference accepts it, and the formulas that read it then overflow.
+        cfg = _with_values({path: 10**400})
+        assert validate_reference.validate(cfg).ok
+        assert validate(cfg).violations == (Violation(path, f"must be finite, got {10**400!r}"),)
 
     def test_converter_output_is_checked_before_its_input(self):
         cfg = _with_values({"converter.v_out": 0, "converter.v_in": math.nan})

@@ -83,7 +83,7 @@ def test_heat_budget_additivity_is_exact(cfg, arch):
 def test_wireless_budgets_carry_no_wire_load(cfg):
     for arch in ARCHITECTURES:
         budget = heat_budget(arch, cfg)
-        if arch.is_wireless:
+        if arch in (ArchitectureKind.RADIATIVE, ArchitectureKind.NON_RADIATIVE, ArchitectureKind.HV_NON_RADIATIVE):
             assert budget.p_load == 0.0
         else:
             assert budget.p_load == cfg.wire.thermal_load_per_wire * cfg.wire.wire_count
