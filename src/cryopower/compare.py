@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 from .losses import LossBreakdown, _coefficients, architecture_loss_at, carries_converter
 from .model import ARCHITECTURES, ArchitectureKind, SystemConfig, _dataclass_compatible
 from .noise import white_floor_ratio
-from .thermal import ThermalBudget, _heat_grid, _heat_rows, budget_from_loss, heat_budget
+from .thermal import ThermalBudget, _cell_cooling, _heat_grid, _heat_rows, budget_from_loss, heat_budget
 
 # Relative slack absorbing last-ulp rounding when an operating point lands
 # exactly on the budget boundary. The solvers cap it at half of what one
@@ -32,10 +32,10 @@ _MAX_DEVICES = 1 << 60
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-# optimize scans grids of up to this many cells on Python floats, about 6 us
+# optimize scans grids of up to this many cells on Python floats, about 2.5 us
 # a cell, and larger ones with the NumPy kernel. Loading NumPy adds about
 # 75 ms to a fresh `cryopower optimize` process; once it is loaded, the
-# kernel is faster by about 1.3 ms at this size and 5.5 ms at 1000 cells
+# kernel is faster by about 0.6 ms at this size and 3 ms at 1000 cells
 # (2-vCPU host, one core).
 _PYTHON_GRID_CELLS = 256
 
@@ -247,26 +247,20 @@ def sweep_loss(
 
     def _columns(arch: ArchitectureKind) -> list:
         grid = _heat_grid(arch, config, p_axis)
-        fields = (
-            grid.transmission_loss,
-            grid.converter_loss,
-            grid.loss_at_cold_stage,
-            grid.q_total,
-            grid.cooling_power,
-        )
-        return [np.broadcast_to(field, p_axis.shape).tolist() for field in fields] + [grid.p_load, grid.cop]
+        # Fields the axis does not move (wire load, COP, a missing converter stage) are floats.
+        return [field.tolist() if isinstance(field, np.ndarray) else repeat(field) for field in grid]
 
     # Records are built as tuple.__new__(cls, fields), without a Python-level __new__ per record.
     columns = map_fn(_columns, ARCHITECTURES)
     per_arch = []
-    for arch, (trans, conv, cold, q_total, cooling, p_load, cop) in zip(ARCHITECTURES, columns):
+    for arch, (trans, conv, cold, p_load, q_total, cop, cooling) in zip(ARCHITECTURES, columns):
         losses = map(tuple.__new__, repeat(LossBreakdown), zip(repeat(arch), p_rx, trans, conv, cold))
         budgets = map(
             tuple.__new__,
             repeat(ThermalBudget),
             zip(
-                repeat(arch), repeat(p_load), cold, repeat(stage.q_ambient_leak),
-                repeat(stage.q_electronics), q_total, repeat(cop), cooling,
+                repeat(arch), p_load, cold, repeat(stage.q_ambient_leak),
+                repeat(stage.q_electronics), q_total, cop, cooling,
             ),
         )
         per_arch.append(map(tuple.__new__, repeat(ArchitectureEvaluation), zip(losses, budgets)))
@@ -572,28 +566,28 @@ def _point_cooling(
     return heat_budget(arch, resolve_parameters(config, arch, params, couple_converter_input)).cooling_power
 
 
-_GridTrace = list[tuple[dict[str, float | int], float]]
-
-
 def _kernel_trace(
     config: SystemConfig,
     arch: ArchitectureKind,
-    v_grid: list,
+    v_grid,
     n_grid: list,
     couple_converter_input: bool,
     map_fn: Callable[..., Iterable],
-) -> _GridTrace:
-    """The grid's strict improvements over the running minimum, in v-major scan order.
+    cell: Callable[[float | None, int | None], float],
+) -> tuple[list, int | None]:
+    """The grid's strict improvements over the running minimum (v-major) and the last one's v index.
 
     One grid-kernel call per block of whole wire counts, each block at most
-    ``_KERNEL_BLOCK_CELLS`` cells with ``v_rx_hv`` as a column and the wire
-    counts as a row, mapped by ``map_fn``. NaN cells never improve, as
-    ``value < best`` skips them.
+    ``_KERNEL_BLOCK_CELLS`` cells with the ``v_rx_hv`` axis (an array, one
+    rail or ``[None]``) as a column and the wire counts as a row, mapped by
+    ``map_fn``. NaN cells never improve, as ``value < best`` skips them.
+    Where a cell divides by zero, ``cell`` scans the grid instead.
     """
     import numpy as np  # loaded on first grid call, off the CLI cold path
 
     p_rx = config.load.delivered_power
-    v_column = None if v_grid[0] is None else np.array(v_grid)[:, None]
+    v_axis = None if v_grid[0] is None else np.asarray(v_grid, dtype=float)
+    v_column = None if v_axis is None else v_axis[:, None]
     step = max(1, _KERNEL_BLOCK_CELLS // len(v_grid))
 
     def _block(wires: list) -> np.ndarray:
@@ -607,34 +601,33 @@ def _kernel_trace(
     except FloatingPointError:
         # A cell divides by zero: the single-point path raises there too, or
         # the division sits in a converter branch that it never takes.
-        return _cell_trace(config, arch, v_grid, n_grid, couple_converter_input)
+        return _cell_trace(cell, [None] if v_axis is None else v_axis.tolist(), n_grid)
     running = np.fmin.accumulate(np.concatenate(([math.inf], values)))[:-1]
     improved = np.flatnonzero(values < running)
-    return [
-        (_free_params(v_grid[i // len(n_grid)], n_grid[i % len(n_grid)]), value)
-        for i, value in zip(improved.tolist(), values[improved].tolist())
-    ]
+    v_index, n_index = np.divmod(improved, len(n_grid))
+    picked_v = repeat(None) if v_axis is None else v_axis[v_index].tolist()
+    params = map(_free_params, picked_v, map(n_grid.__getitem__, n_index.tolist()))
+    return list(zip(params, values[improved].tolist())), int(v_index[-1]) if improved.size else None
 
 
 def _cell_trace(
-    config: SystemConfig, arch: ArchitectureKind, v_grid: list, n_grid: list, couple_converter_input: bool
-) -> _GridTrace:
-    """:func:`_kernel_trace` on Python floats, one cell at a time, without NumPy.
+    cell: Callable[[float | None, int | None], float], v_grid: list, n_grid: list
+) -> tuple[list, int | None]:
+    """:func:`_kernel_trace` on Python floats, one ``cell(v, n)`` at a time, without NumPy.
 
     Each cell is bit-identical to the kernel's, and the kernel falls back to
     this where a cell divides by zero; such a cell raises
     ``ZeroDivisionError``, as the single-point path does.
     """
-    p_rx = (config.load.delivered_power,)
-    trace: _GridTrace = []
-    best = math.inf
-    for v in v_grid:
+    trace = []
+    best, best_index = math.inf, None
+    for index, v in enumerate(v_grid):
         for n in n_grid:
-            value = _heat_rows(arch, config, p_rx, v, n, couple_converter_input)[0][-1]
+            value = cell(v, n)
             if value < best:
                 trace.append((_free_params(v, n), value))
-                best = value
-    return trace
+                best, best_index = value, index
+    return trace, best_index
 
 
 def optimize(
@@ -658,10 +651,14 @@ def optimize(
     kernel (:func:`cryopower.thermal._heat_grid`): one call per block of
     whole wire counts, each over the whole ``v_rx_hv`` axis and at most
     ``_KERNEL_BLOCK_CELLS`` cells, and ``map_fn`` (which may be a pool's map)
-    maps those calls over the blocks. A smaller grid is scanned on Python
-    floats, one cell at a time, without loading NumPy, and so is each
-    golden-section probe: it reads the coefficient record as a cell does.
-    Every value is bit-identical to the single-point path
+    maps those calls over the blocks; its ``v_rx_hv`` axis comes from
+    ``numpy.linspace``, which :func:`_linspace` equals bit for bit. A smaller
+    grid is scanned on Python floats, one cell at a time, without loading
+    NumPy, and so is each golden-section probe. Both read one cell evaluator
+    (:func:`cryopower.thermal._cell_cooling`) built per call, which works out
+    once what ``v_rx_hv`` and ``wire_count`` do not move (link, resistance,
+    COP, leak and electronics), so a cell builds only the rail, the converter
+    term and the wire terms. Every value is bit-identical to the single-point path
     (:func:`resolve_parameters` and :func:`cryopower.thermal.heat_budget`);
     the first grid cell still runs through it, so an invalid config raises
     the same error.
@@ -688,10 +685,7 @@ def optimize(
             raise ValueError(
                 f"v_rx_hv lower bound must be >= load.v_rx ({config.load.v_rx!r}), got {v_lo!r}"
             )
-        if v_lo == v_hi:
-            v_grid = [float(v_lo)]
-        else:
-            v_grid = _linspace(v_lo, v_hi, resolution)
+        v_grid = [float(v_lo)] if v_lo == v_hi else None  # sampled below, once the cell count is known
     else:
         v_grid = [None]
 
@@ -713,29 +707,34 @@ def optimize(
     else:
         n_grid = [None]
 
-    evaluations = len(v_grid) * len(n_grid)
+    evaluations = (resolution if v_grid is None else 1) * len(n_grid)
+    if v_grid is None and evaluations <= _PYTHON_GRID_CELLS:
+        v_grid = _linspace(v_lo, v_hi, resolution)
+    elif v_grid is None:
+        import numpy as np  # the kernel loads it anyway
+
+        v_grid = np.linspace(float(v_lo), float(v_hi), resolution)  # equals _linspace bit for bit
 
     # The grid evaluators skip input checks; the single-point path raises them here.
     _point_cooling(config, arch, _free_params(v_grid[0], n_grid[0]), couple_converter_input)
+    cell = _cell_cooling(arch, config, config.load.delivered_power, couple_converter_input)
     if evaluations <= _PYTHON_GRID_CELLS:
-        trace = _cell_trace(config, arch, v_grid, n_grid, couple_converter_input)
+        trace, index = _cell_trace(cell, v_grid, n_grid)
     else:
-        trace = _kernel_trace(config, arch, v_grid, n_grid, couple_converter_input, map_fn)
+        trace, index = _kernel_trace(config, arch, v_grid, n_grid, couple_converter_input, map_fn, cell)
     if not trace:
         raise ValueError(f"{arch.label}: every grid cell's cooling power is inf or NaN")
     best_params, best_value = dict(trace[-1][0]), trace[-1][1]
 
     if "v_rx_hv" in best_params and len(v_grid) > 1:
-        index = v_grid.index(best_params["v_rx_hv"])
-        lo = v_grid[max(0, index - 1)]
-        hi = v_grid[min(len(v_grid) - 1, index + 1)]
+        lo = float(v_grid[max(0, index - 1)])
+        hi = float(v_grid[min(len(v_grid) - 1, index + 1)])
         fixed_n = best_params.get("wire_count")
-        p_rx = (config.load.delivered_power,)
 
         def _axis(v: float) -> float:
             nonlocal evaluations
             evaluations += 1
-            return _heat_rows(arch, config, p_rx, v, fixed_n, couple_converter_input)[0][-1]
+            return cell(v, fixed_n)
 
         tol = 1e-10 * max(1.0, abs(hi))
         x, fx = _golden_refine(_axis, lo, hi, tol)

@@ -154,6 +154,21 @@ class _Coefficients(NamedTuple):
         return transmission, converter, transmission * self.cold_fraction + converter
 
 
+def _link_terms(arch: ArchitectureKind, config: SystemConfig, check: bool = True) -> tuple:
+    """What no rail or wire count moves: a link's ``1/eta - 1``, resistance, cold fraction, stage flag."""
+    coup = config.coupling
+    r_wire = config.wire.effective_resistance
+    linear, cold_fraction = 0.0, 1.0
+    if arch._rail is None:
+        eta, cold_fraction = 1.0, coup.loss_to_cold_fraction
+        for name in arch._link:
+            if check:
+                _check_efficiency(name, getattr(coup, name))
+            eta *= getattr(coup, name)
+        linear = 1.0 / eta - 1.0
+    return linear, r_wire, cold_fraction, carries_converter(arch, config.converter)
+
+
 def _coefficients(
     arch: ArchitectureKind,
     config: SystemConfig,
@@ -161,6 +176,7 @@ def _coefficients(
     wire_count=None,
     couple_converter_input: bool = True,
     check: bool = True,
+    link: tuple | None = None,
 ) -> _Coefficients:
     """The loss coefficients of ``arch``, from the rail, link and converter flag it declares.
 
@@ -172,25 +188,19 @@ def _coefficients(
     ``check``, the architecture's inputs are checked as its leaf functions
     check them, after the resistance mode. The grid kernel passes
     ``check=False``; its callers run one point through the scalar path first.
+    A caller building many records passes their :func:`_link_terms` as ``link``.
     """
-    wire, load, coup, conv = config.wire, config.load, config.coupling, config.converter
-    n = wire.wire_count if wire_count is None else wire_count
-    r_wire = wire.effective_resistance
-    rail, linear, cold_fraction = arch._rail, 0.0, 1.0  # rail: the LoadSpec field name, then its voltage
+    linear, r_wire, cold_fraction, staged = _link_terms(arch, config, check) if link is None else link
+    conv = config.converter
+    n = config.wire.wire_count if wire_count is None else wire_count
+    rail = arch._rail  # the LoadSpec field name, then its voltage
     if rail is not None:
-        rail = getattr(load, rail) if v_rx_hv is None or rail == "v_rx" else v_rx_hv
+        rail = getattr(config.load, rail) if v_rx_hv is None or rail == "v_rx" else v_rx_hv
         if check:
             _check_rail(rail, r_wire, n)
-    else:
-        eta, cold_fraction = 1.0, coup.loss_to_cold_fraction
-        for name in arch._link:
-            if check:
-                _check_efficiency(name, getattr(coup, name))
-            eta *= getattr(coup, name)
-        linear = 1.0 / eta - 1.0
 
     converter = None
-    if carries_converter(arch, conv):
+    if staged:
         if v_rx_hv is None or not couple_converter_input:
             converter = 1.0 / dcdc_efficiency(conv) - 1.0
         elif isinstance(v_rx_hv, float):  # one rail: a carried stage, or none

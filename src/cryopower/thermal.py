@@ -8,9 +8,9 @@ at its (Carnot-limited, corrected) coefficient of performance.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .losses import LossBreakdown, _coefficients, architecture_loss_at
+from .losses import LossBreakdown, _coefficients, _link_terms, architecture_loss_at
 from .model import ArchitectureKind, SystemConfig, _dataclass_compatible
 
 
@@ -46,29 +46,34 @@ def carnot_cop(t_cold: float, t_ambient: float, eta_c: float) -> float:
     return eta_c * t_cold / (t_ambient - t_cold)
 
 
-def _stage_heat(arch: ArchitectureKind, config: SystemConfig, loss_at_cold_stage, wire_count):
-    """Wire conduction load, total cold-stage heat and COP (floats or arrays)."""
-    p_load = 0.0 if arch.is_wireless else config.wire.thermal_load_per_wire * wire_count
-    stage = config.stage
-    q_total = p_load + loss_at_cold_stage + stage.q_ambient_leak + stage.q_electronics
-    cop = carnot_cop(config.cooling.t_cold, config.cooling.t_ambient, config.cooling.eta_c)
-    return p_load, q_total, cop
+def _stage_terms(arch: ArchitectureKind, config: SystemConfig) -> tuple:
+    """Conduction per wire (None over a link), leak, electronics and COP: what no free parameter moves."""
+    stage, cooling = config.stage, config.cooling
+    per_wire = None if arch.is_wireless else config.wire.thermal_load_per_wire
+    cop = carnot_cop(cooling.t_cold, cooling.t_ambient, cooling.eta_c)
+    return per_wire, stage.q_ambient_leak, stage.q_electronics, cop
+
+
+def _conduction(terms: tuple, wire_count):
+    """Wire conduction load at ``wire_count`` from :func:`_stage_terms`: 0.0 over a link."""
+    return 0.0 if terms[0] is None else terms[0] * wire_count
+
+
+def _stage_heat(terms: tuple, losses: tuple, p_load) -> tuple:
+    """The :class:`_HeatGrid` fields from a loss triple, the conduction load and :func:`_stage_terms`."""
+    transmission, converter, cold = losses
+    _, leak, electronics, cop = terms
+    q_total = p_load + cold + leak + electronics
+    return transmission, converter, cold, p_load, q_total, cop, q_total / cop
 
 
 def budget_from_loss(config: SystemConfig, breakdown: LossBreakdown) -> ThermalBudget:
     """Heat budget around an already computed loss breakdown of ``config``."""
     arch = breakdown.architecture
-    p_load, q_total, cop = _stage_heat(arch, config, breakdown.loss_at_cold_stage, config.wire.wire_count)
-    return ThermalBudget(
-        architecture=arch,
-        p_load=p_load,
-        p_loss_cold=breakdown.loss_at_cold_stage,
-        q_ambient=config.stage.q_ambient_leak,
-        q_electronics=config.stage.q_electronics,
-        q_total=q_total,
-        cop=cop,
-        cooling_power=q_total / cop,
-    )
+    terms = _stage_terms(arch, config)
+    p_load = _conduction(terms, config.wire.wire_count)
+    _, _, cold, _, q_total, cop, cooling = _stage_heat(terms, breakdown[2:], p_load)
+    return ThermalBudget(arch, p_load, cold, terms[1], terms[2], q_total, cop, cooling)
 
 
 def heat_budget_at(arch: ArchitectureKind, config: SystemConfig, p_rx: float) -> ThermalBudget:
@@ -97,13 +102,6 @@ class _HeatGrid(NamedTuple):
     cooling_power: float | np.ndarray
 
 
-def _heat_fields(arch: ArchitectureKind, config: SystemConfig, coefficients, p_rx, wire_count) -> tuple:
-    """The :class:`_HeatGrid` fields at ``p_rx`` from a coefficient record (floats or arrays)."""
-    transmission, converter, cold = coefficients.losses(p_rx)
-    p_load, q_total, cop = _stage_heat(arch, config, cold, wire_count)
-    return transmission, converter, cold, p_load, q_total, cop, q_total / cop
-
-
 def _heat_grid(
     arch: ArchitectureKind,
     config: SystemConfig,
@@ -125,10 +123,11 @@ def _heat_grid(
     """
     import numpy as np  # loaded on first grid call, off the CLI cold path
 
-    n = config.wire.wire_count if wire_count is None else wire_count
     with np.errstate(divide="raise", over="ignore", under="ignore", invalid="ignore"):
         coefficients = _coefficients(arch, config, v_rx_hv, wire_count, couple_converter_input, check=False)
-        return _HeatGrid(*_heat_fields(arch, config, coefficients, p_rx, n))
+        terms = _stage_terms(arch, config)
+        p_load = _conduction(terms, coefficients.wires)
+        return _HeatGrid(*_stage_heat(terms, coefficients.losses(p_rx), p_load))
 
 
 def _heat_rows(
@@ -143,11 +142,29 @@ def _heat_rows(
 
     ``p_rx`` is a sequence of delivered powers; ``v_rx_hv`` and
     ``wire_count`` are one rail and one wire count (``None`` keeps the
-    configured value). The record is built once and every row is
-    bit-identical to the scalar path at that point. Inputs are not checked;
-    where a cell divides by zero this raises ``ZeroDivisionError``, as the
-    scalar path does.
+    configured value). The record and stage terms are built once and every
+    row is bit-identical to the scalar path at that point. Inputs are not
+    checked; where a cell divides by zero this raises ``ZeroDivisionError``,
+    as the scalar path does.
     """
-    n = config.wire.wire_count if wire_count is None else wire_count
     coefficients = _coefficients(arch, config, v_rx_hv, wire_count, couple_converter_input, check=False)
-    return [_heat_fields(arch, config, coefficients, p, n) for p in p_rx]
+    terms = _stage_terms(arch, config)
+    p_load = _conduction(terms, coefficients.wires)
+    return [_stage_heat(terms, coefficients.losses(p), p_load) for p in p_rx]
+
+
+def _cell_cooling(
+    arch: ArchitectureKind, config: SystemConfig, p_rx: float, couple_converter_input: bool = True
+) -> Callable[[float | None, int | None], float]:
+    """``_heat_rows(arch, config, (p_rx,), v, n, couple)[0][-1]`` as a function ``cooling(v, n)``.
+
+    What neither ``v`` nor ``n`` moves is worked out once: a call builds only
+    the rail, the converter term and the wire terms, and sums the heat.
+    """
+    link, terms = _link_terms(arch, config, check=False), _stage_terms(arch, config)
+
+    def cooling(v_rx_hv: float | None, wire_count: int | None) -> float:
+        coefficients = _coefficients(arch, config, v_rx_hv, wire_count, couple_converter_input, False, link)
+        return _stage_heat(terms, coefficients.losses(p_rx), _conduction(terms, coefficients.wires))[-1]
+
+    return cooling

@@ -37,7 +37,7 @@ from cryopower.compare import (
 )
 from cryopower.losses import architecture_loss_at, carries_converter
 from cryopower.model import ARCHITECTURES, ArchitectureKind, default_config
-from cryopower.thermal import _HeatGrid, _heat_grid, _heat_rows, heat_budget, heat_budget_at
+from cryopower.thermal import _cell_cooling, _HeatGrid, _heat_grid, _heat_rows, heat_budget, heat_budget_at
 
 from strategies import finite, system_configs
 
@@ -233,6 +233,28 @@ def test_heat_rows_match_scalar_cell_by_cell(cfg, arch, couple, data):
                 assert bits(rows) == bits(expected), (v, n)
 
 
+def outcome(evaluate, *args):
+    """``bits(evaluate(*args))``, or the type and message of the ``ZeroDivisionError`` it raises."""
+    try:
+        return bits(evaluate(*args))
+    except ZeroDivisionError as exc:
+        return (ZeroDivisionError, str(exc))
+
+
+@given(system_configs(), st.sampled_from(ARCHITECTURES), st.booleans(), st.data())
+def test_cell_evaluator_matches_heat_rows(cfg, arch, couple, data):
+    # optimize's Python-grid cells and golden-section probes read one _cell_cooling per call.
+    cfg, powers, volts, wires = data.draw(grid_axes(maybe_negative_zero_load(data, cfg)))
+    v_out = cfg.converter.v_out  # where a tracking converter stage drops, and one ulp either side
+    volts += [v_out, math.nextafter(v_out, 0.0), math.nextafter(v_out, math.inf), None]
+    for p in powers + [cfg.load.delivered_power]:
+        cell = _cell_cooling(arch, cfg, p, couple)
+        for v in volts:
+            for n in wires + [None]:
+                want = outcome(lambda: _heat_rows(arch, cfg, (p,), v, n, couple)[0][-1])
+                assert outcome(cell, v, n) == want, (p, v, n)
+
+
 @given(system_configs(), st.sampled_from(ARCHITECTURES), st.booleans(), st.data())
 def test_optimize_matches_scalar_grid(cfg, arch, couple, data):
     cfg = maybe_negative_zero_load(data, cfg)
@@ -273,6 +295,8 @@ def test_optimize_picks_evaluator_by_cell_count(extra, evaluator, monkeypatch):
     resolution = compare._PYTHON_GRID_CELLS + extra
     optimize(default_config(), {"v_rx_hv": (2.0, 60.0)}, ArchitectureKind.HV_WIRED, resolution=resolution)
     assert calls == [evaluator]
+
+
 @given(system_configs(), st.sets(st.integers(1, 10**6), min_size=1, max_size=32), st.data())
 def test_sweep_matches_per_point_evaluation(cfg, counts, data):
     cfg = maybe_negative_zero_load(data, cfg)
