@@ -33,6 +33,7 @@ from .compare import (
 from .configio import ConfigError, config_paths, get_value, parse_config, serialize_config, set_value
 from .model import ARCHITECTURES, ArchitectureKind, SystemConfig, default_config, validate
 from .noise import white_floor_ratio
+from .thermal import _heat_rows
 
 EXIT_OK = 0
 EXIT_INVALID_CONFIG = 1
@@ -304,8 +305,6 @@ def _sweep_values(config: SystemConfig, param: str, start: float, stop: float, s
         values: list[Any] = sorted(set(int(round(x)) for x in raw))
     else:
         values = sorted(set(raw))
-    if not values:
-        raise CliError("sweep produced no values", EXIT_BAD_INVOCATION)
     return path, values
 
 
@@ -325,32 +324,19 @@ _SWEEP_CSV_COLUMNS = ("value", "architecture", "transmission_loss_w", "q_total_w
 
 
 def _sweep_rows(config: SystemConfig, path: str, values: list[Any]) -> list[tuple]:
-    rows = []
+    # Python floats from one coefficient record per architecture and point: no NumPy, no result objects.
     if path == "load.device_count":
-        # Python floats from one coefficient record per architecture: no NumPy, no result objects.
-        columns = _sweep_cells(config, values)
-        for i, count in enumerate(values):
-            for label, column in zip(ARCH_LABELS, columns):
-                transmission, converter, cold, _, q_total, _, cooling = column[i]
-                rows.append((count, label, transmission, converter, cold, q_total, cooling))
-        return rows
-    for value in values:
-        point_config = set_value(config, path, value)
-        _require_valid(point_config)
-        for arch in ARCHITECTURES:
-            evaluation = evaluate_architecture(arch, point_config)
-            loss, thermal = evaluation.loss, evaluation.thermal
-            rows.append(
-                (
-                    value,
-                    arch.label,
-                    loss.transmission_loss,
-                    loss.converter_loss,
-                    loss.loss_at_cold_stage,
-                    thermal.q_total,
-                    thermal.cooling_power,
-                )
-            )
+        points = zip(*_sweep_cells(config, values))
+    else:
+        points = []
+        for value in values:
+            point = set_value(config, path, value)
+            _require_valid(point)  # implies every check the scalar path makes
+            points.append([_heat_rows(arch, point, (point.load.delivered_power,))[0] for arch in ARCHITECTURES])
+    rows = []
+    for value, cells in zip(values, points):
+        for label, (transmission, converter, cold, _, q_total, _, cooling) in zip(ARCH_LABELS, cells):
+            rows.append((value, label, transmission, converter, cold, q_total, cooling))
     return rows
 
 
@@ -477,6 +463,9 @@ def run(args: argparse.Namespace) -> tuple[int, str, str]:
         return EXIT_BAD_INVOCATION, "", f"error: unknown subcommand {args.subcommand!r}\n"
     except CliError as exc:
         return exc.code, "", f"error: {exc}\n"
+    except ZeroDivisionError as exc:
+        # validate accepts values whose products underflow to 0.0, such as a rail of 1e-170 V squared.
+        return EXIT_INVALID_CONFIG, "", f"error: configuration cannot be evaluated: {exc}\n"
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -196,26 +196,6 @@ class _CollectorPause:
 # One per process, as the collector it pauses is.
 _COLLECTOR_PAUSE = _CollectorPause()
 
-# Tracked records one swept device count adds: its SweepPoint and that
-# point's tuple of evaluations, and per architecture an evaluation, a loss
-# breakdown and a thermal budget.
-_RECORDS_PER_COUNT = 2 + 3 * len(ARCHITECTURES)
-
-
-def _build_records(points: Iterable, records: int) -> tuple:
-    """``tuple(points)``, with the collector paused if the build would start a young collection.
-
-    A build that fits in what the young generation has left before its
-    threshold starts none, and a pause would add the closing collection to
-    it; a threshold of 0 means automatic collection is off.
-    """
-    threshold = gc.get_threshold()[0]
-    if not threshold or gc.get_count()[0] + records <= threshold:
-        return tuple(points)
-    with _COLLECTOR_PAUSE:
-        return tuple(points)
-
-
 def sweep_loss(
     config: SystemConfig,
     device_counts: Sequence[int],
@@ -231,11 +211,11 @@ def sweep_loss(
     call over the five architectures and may be replaced by a pool's map;
     results are assembled in input order either way.
 
-    When the result records would start a young collection, the cyclic
-    garbage collector is paused while they are built, and the one
-    collection it held back follows. Concurrent calls share one pause,
-    which ends when the last of them is done; code that toggles :mod:`gc`
-    from another thread during a sweep may find it re-enabled.
+    The cyclic garbage collector is paused while the result records are
+    built, and the one collection it held back, if any, follows. Concurrent
+    calls share one pause, which ends when the last of them is done; code
+    that toggles :mod:`gc` from another thread during a sweep may find it
+    re-enabled.
     """
     counts = _device_axis(config, device_counts)
 
@@ -265,7 +245,8 @@ def sweep_loss(
         )
         per_arch.append(map(tuple.__new__, repeat(ArchitectureEvaluation), zip(losses, budgets)))
     points = map(tuple.__new__, repeat(SweepPoint), zip(counts, zip(*per_arch)))
-    points = _build_records(points, len(counts) * _RECORDS_PER_COUNT)
+    with _COLLECTOR_PAUSE:
+        points = tuple(points)
     return SweepResult(parameter="device_count", points=points)
 
 
@@ -505,8 +486,8 @@ def _golden_refine(
     lo: float,
     hi: float,
     tol: float,
-) -> tuple[float, float]:
-    """Golden-section minimization on [lo, hi]; returns the best probed point."""
+) -> tuple[float, float, int]:
+    """Golden-section minimization on [lo, hi]; returns the best probed point and the number of probes."""
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
@@ -526,7 +507,7 @@ def _golden_refine(
             if fx < best_f or (fx == best_f and x < best_x):
                 best_x, best_f = x, fx
         iterations += 1
-    return best_x, best_f
+    return best_x, best_f, 2 + iterations
 
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:
@@ -557,13 +538,6 @@ def _free_params(v: float | None, n: int | None) -> dict[str, float | int]:
     if n is not None:
         params["wire_count"] = n
     return params
-
-
-def _point_cooling(
-    config: SystemConfig, arch: ArchitectureKind, params: Mapping[str, float | int], couple_converter_input: bool
-) -> float:
-    """Cooling power at one free-parameter assignment, through the single-point path."""
-    return heat_budget(arch, resolve_parameters(config, arch, params, couple_converter_input)).cooling_power
 
 
 def _kernel_trace(
@@ -716,7 +690,7 @@ def optimize(
         v_grid = np.linspace(float(v_lo), float(v_hi), resolution)  # equals _linspace bit for bit
 
     # The grid evaluators skip input checks; the single-point path raises them here.
-    _point_cooling(config, arch, _free_params(v_grid[0], n_grid[0]), couple_converter_input)
+    heat_budget(arch, resolve_parameters(config, arch, _free_params(v_grid[0], n_grid[0]), couple_converter_input))
     cell = _cell_cooling(arch, config, config.load.delivered_power, couple_converter_input)
     if evaluations <= _PYTHON_GRID_CELLS:
         trace, index = _cell_trace(cell, v_grid, n_grid)
@@ -730,14 +704,8 @@ def optimize(
         lo = float(v_grid[max(0, index - 1)])
         hi = float(v_grid[min(len(v_grid) - 1, index + 1)])
         fixed_n = best_params.get("wire_count")
-
-        def _axis(v: float) -> float:
-            nonlocal evaluations
-            evaluations += 1
-            return cell(v, fixed_n)
-
-        tol = 1e-10 * max(1.0, abs(hi))
-        x, fx = _golden_refine(_axis, lo, hi, tol)
+        x, fx, probes = _golden_refine(lambda v: cell(v, fixed_n), lo, hi, 1e-10 * max(1.0, abs(hi)))
+        evaluations += probes
         refined = _free_params(float(x), fixed_n)
         if fx < best_value or (fx == best_value and x < best_params["v_rx_hv"]):
             best_params, best_value = refined, fx

@@ -113,39 +113,36 @@ def _heat_grid(
     """The fields of :func:`heat_budget_at` over a broadcast grid, in one pass.
 
     ``p_rx``, ``v_rx_hv`` and ``wire_count`` are floats or NumPy arrays that
-    broadcast together; ``None`` keeps the configured value. The loss comes
-    from the coefficient record the scalar path reads, in the same operation
-    order, so each cell is bit-identical to the scalar path at that point.
-    Inputs are not checked (see :func:`cryopower.losses._coefficients`).
-    Where a cell divides a nonzero value by zero (the scalar path raises
-    ``ZeroDivisionError`` there, unless the division sits in a converter
-    branch it never takes), the kernel raises ``FloatingPointError``.
+    broadcast together; this is :func:`_heat_rows` with ``p_rx`` as its one
+    power, under NumPy's floating-point error checks. Where a cell divides a
+    nonzero value by zero (the scalar path raises ``ZeroDivisionError``
+    there, unless the division sits in a converter branch it never takes),
+    the kernel raises ``FloatingPointError``.
     """
     import numpy as np  # loaded on first grid call, off the CLI cold path
 
     with np.errstate(divide="raise", over="ignore", under="ignore", invalid="ignore"):
-        coefficients = _coefficients(arch, config, v_rx_hv, wire_count, couple_converter_input, check=False)
-        terms = _stage_terms(arch, config)
-        p_load = _conduction(terms, coefficients.wires)
-        return _HeatGrid(*_stage_heat(terms, coefficients.losses(p_rx), p_load))
+        return _HeatGrid(*_heat_rows(arch, config, (p_rx,), v_rx_hv, wire_count, couple_converter_input)[0])
 
 
 def _heat_rows(
     arch: ArchitectureKind,
     config: SystemConfig,
     p_rx,
-    v_rx_hv: float | None = None,
-    wire_count: int | None = None,
+    v_rx_hv=None,
+    wire_count=None,
     couple_converter_input: bool = True,
 ) -> list[tuple]:
-    """:func:`_heat_grid` on Python floats, without NumPy: one tuple of its fields per power.
+    """The fields of :func:`heat_budget_at` at each power of ``p_rx``: one :class:`_HeatGrid` tuple per power.
 
-    ``p_rx`` is a sequence of delivered powers; ``v_rx_hv`` and
-    ``wire_count`` are one rail and one wire count (``None`` keeps the
-    configured value). The record and stage terms are built once and every
-    row is bit-identical to the scalar path at that point. Inputs are not
-    checked; where a cell divides by zero this raises ``ZeroDivisionError``,
-    as the scalar path does.
+    ``p_rx`` is a sequence of delivered powers. ``v_rx_hv``, ``wire_count``
+    and each power are floats, or NumPy arrays that broadcast together;
+    ``None`` keeps the configured value. The loss comes from the coefficient
+    record the scalar path reads, built once, in the same operation order, so
+    every value is bit-identical to the scalar path at that point. Inputs are
+    not checked (see :func:`cryopower.losses._coefficients`); where a float
+    cell divides by zero this raises ``ZeroDivisionError``, as the scalar
+    path does.
     """
     coefficients = _coefficients(arch, config, v_rx_hv, wire_count, couple_converter_input, check=False)
     terms = _stage_terms(arch, config)

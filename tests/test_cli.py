@@ -20,14 +20,18 @@ from cryopower.cli import (
     EXIT_IO_ERROR,
     EXIT_OK,
     _json_value,
+    _require_valid,
     _sweep_json,
+    _sweep_rows,
     main,
     parse_invocation,
     run,
 )
 from cryopower.compare import FREE_PARAMETER_NAMES, evaluate_architecture, optimize, sweep_loss
-from cryopower.configio import parse_config, serialize_config
-from cryopower.model import ArchitectureKind, default_config
+from cryopower.configio import config_paths, get_value, parse_config, serialize_config, set_value
+from cryopower.model import ARCHITECTURES, ArchitectureKind, default_config
+
+from strategies import finite, system_configs
 
 
 def invoke(*args: str) -> tuple[int, str, str]:
@@ -239,6 +243,63 @@ class TestSweepSubcommand:
         assert code == EXIT_BAD_INVOCATION
         assert captured.out == ""
         assert captured.err == f"error: sweep span for {param!r} overflows: [-1e+308, 1e+308] gives non-finite values\n"
+
+
+def reference_param_sweep_rows(config, path, values):
+    """A parameter sweep's rows through the single-point path: validate, then evaluate_architecture."""
+    rows = []
+    for value in values:
+        point = set_value(config, path, value)
+        _require_valid(point)
+        for arch in ARCHITECTURES:
+            loss, thermal = evaluate_architecture(arch, point)
+            rows.append(
+                (value, arch.label, loss.transmission_loss, loss.converter_loss, loss.loss_at_cold_stage)
+                + (thermal.q_total, thermal.cooling_power)
+            )
+    return rows
+
+
+def sweep_outcome(sweep, config, path, values):
+    """The rows with floats as ``float.hex``, or the type and message of what ``sweep`` raises."""
+    try:
+        rows = sweep(config, path, values)
+    except Exception as exc:  # both paths must fail alike, whatever the error
+        return type(exc), str(exc), getattr(exc, "code", None)
+    return [tuple(cell.hex() if isinstance(cell, float) else cell for cell in row) for row in rows]
+
+
+# Every numeric leaf a parameter sweep can move; a device-count sweep takes the other branch.
+PARAM_SWEEP_PATHS = [
+    path
+    for path in config_paths()
+    if path != "load.device_count" and type(get_value(default_config(), path)) in (int, float)
+]
+
+
+@st.composite
+def param_sweeps(draw):
+    """A valid config, a parameter path and sorted swept values, some past a bound that validate checks."""
+    config = draw(st.one_of(st.just(default_config()), system_configs()))
+    path = draw(st.sampled_from(PARAM_SWEEP_PATHS))
+    leaf = get_value(config, path)
+    if isinstance(leaf, int):
+        values = st.one_of(st.integers(-2, 64), st.just(10**400))
+    else:
+        edges = [0.0, 1.0, 1e-170, 5e-324, 1e308, leaf, math.nextafter(leaf, -math.inf), math.nextafter(leaf, 1e308)]
+        scaled = finite(-1.0, 3.0).map(lambda scale: scale * leaf)
+        values = st.one_of(scaled, finite(-10.0, 10.0), st.sampled_from(edges))
+    return config, path, sorted(draw(st.lists(values, min_size=1, max_size=4, unique=True)))
+
+
+class TestParameterSweepRows:
+    @given(param_sweeps())
+    def test_matches_single_point_path(self, sweep):
+        # The CLI reads one coefficient record per point on Python floats; validate covers the scalar checks.
+        config, path, values = sweep
+        assert sweep_outcome(_sweep_rows, config, path, values) == sweep_outcome(
+            reference_param_sweep_rows, config, path, values
+        )
 
 
 def reference_csv(header, rows):
@@ -571,6 +632,35 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument --budget: expected a finite number, got '{budget}'" in captured.err
+
+    @pytest.mark.parametrize(
+        "subcommand",
+        [
+            ["evaluate", "--arch", "{arch}"],
+            ["compare"],
+            ["compare", "--budget", "1.0"],
+            ["sweep", "--from", "1", "--to", "10", "--steps", "3"],
+            ["sweep", "--param", "converter.f_sw", "--from", "1e5", "--to", "2e6", "--steps", "3"],
+            ["optimize", "--arch", "{arch}", "--free", "wire_count", "1", "4"],
+            ["optimize", "--arch", "{arch}", "--free", "wire_count", "1", "400"],
+        ],
+    )
+    @pytest.mark.parametrize(
+        "text, arch",
+        [
+            ("load.v_rx = 1e-170\n", "wired"),  # the rail's square underflows to 0.0
+            ("cooling.eta_c = 5e-324\n", "hv_wired"),  # the COP underflows to 0.0
+            ("coupling.eta_rad_r = 1e-200\ncoupling.eta_coup_ant = 1e-200\n", "radiative"),  # the link's product
+        ],
+    )
+    def test_valid_config_that_divides_by_zero(self, tmp_path, capsys, subcommand, text, arch):
+        path = tmp_path / "underflow.cfg"
+        path.write_text(text)
+        argv = [part.format(arch=arch) for part in subcommand]
+        assert main([*argv, "--config", str(path)]) == EXIT_INVALID_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: configuration cannot be evaluated: float division by zero\n"
 
     def test_missing_config_file(self, tmp_path):
         code, _, err = invoke("evaluate", "--arch", "wired", "--config", str(tmp_path / "nope.cfg"))

@@ -254,12 +254,6 @@ class TestSweepCollectorPause:
                     start_second.set()
                     second_opened.wait(0.5)
 
-            def get_threshold(self):
-                return (700, 10, 10)
-
-            def get_count(self):
-                return (0, 0, 0)
-
         collector = Collector()
         monkeypatch.setattr(compare, "gc", collector)
         enabled_in_second = []
@@ -272,12 +266,14 @@ class TestSweepCollectorPause:
 
         def open_second():
             if start_second.wait(10):
-                compare._build_records(second_records(), 10_000)
+                with compare._COLLECTOR_PAUSE:
+                    tuple(second_records())
 
         second = threading.Thread(target=open_second)
         second.start()
         try:
-            assert compare._build_records(iter([None]), 10_000) == (None,)
+            with compare._COLLECTOR_PAUSE:
+                pass
         finally:
             first_closed.set()
             start_second.set()

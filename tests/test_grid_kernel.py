@@ -2,9 +2,10 @@
 
 ``sweep_loss`` and the grids of ``optimize`` with more than
 ``compare._PYTHON_GRID_CELLS`` cells go through the NumPy kernel
-``thermal._heat_grid``; smaller ``optimize`` grids and the CLI's device sweep
-are evaluated on Python floats with ``thermal._heat_rows``
-(``compare._cell_trace`` and ``compare._sweep_cells``). The scalar
+``thermal._heat_grid``, which is ``thermal._heat_rows`` under NumPy's error
+checks; the CLI's device sweep (``compare._sweep_cells``) calls
+``_heat_rows`` on Python floats, and smaller ``optimize`` grids
+(``compare._cell_trace``) read ``thermal._cell_cooling``. The scalar
 ``resolve_parameters`` + ``heat_budget``/``architecture_loss_at`` path stays
 as the reference. Floats
 are compared by ``float.hex`` so that 0.0 and -0.0 count. ``system_configs()``
@@ -100,7 +101,7 @@ def reference_optimize(cfg, box, arch, resolution, couple):
         index = v_grid.index(best_params["v_rx_hv"])
         lo, hi = v_grid[max(0, index - 1)], v_grid[min(len(v_grid) - 1, index + 1)]
         fixed_n = best_params.get("wire_count")
-        x, fx = _golden_refine(
+        x, fx, _ = _golden_refine(
             lambda v: objective(_params_for(float(v), fixed_n)), lo, hi, 1e-10 * max(1.0, abs(hi))
         )
         if fx < best_value or (fx == best_value and x < best_params["v_rx_hv"]):
