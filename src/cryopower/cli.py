@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import math
 import operator
 import sys
@@ -30,8 +31,8 @@ from .compare import (
     optimize,
     scorecard,
 )
-from .configio import ConfigError, config_paths, get_value, parse_config, serialize_config, set_value
-from .model import ARCHITECTURES, ArchitectureKind, SystemConfig, default_config, validate
+from .configio import ConfigError, parse_config, serialize_config, set_value
+from .model import _FIELD_KINDS, ARCHITECTURES, ArchitectureKind, SystemConfig, default_config, validate
 from .noise import white_floor_ratio
 from .thermal import _heat_rows
 
@@ -58,7 +59,7 @@ def _csv_document(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     return buffer.getvalue()
 
 
-# The JSON writers below lay a document out as json.dumps(payload, indent=2)
+# The sweep's JSON writers below lay a document out as json.dumps(payload, indent=2)
 # does, byte for byte, but build each object from a template whose keys are
 # encoded once; the sweep writes thousands of objects of one shape.
 
@@ -98,19 +99,6 @@ def _json_array(items: Sequence[str], depth: int) -> str:
         return "[]"
     pad = "\n" + "  " * (depth + 1)
     return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
-
-
-def _json_value(value: Any, depth: int = 0) -> str:
-    """``json.dumps(value, indent=2)`` for string-keyed dicts, lists, tuples and scalars."""
-    if isinstance(value, dict):
-        return _json_object(tuple(value), depth) % tuple(_json_value(item, depth + 1) for item in value.values())
-    if isinstance(value, (list, tuple)):
-        return _json_array([_json_value(item, depth + 1) for item in value], depth)
-    return _json_leaf(value)
-
-
-def _json_document(payload: Any) -> str:
-    return _json_value(payload) + "\n"
 
 
 def _positive_float(text: str) -> float:
@@ -277,22 +265,22 @@ def _run_evaluate(args: argparse.Namespace) -> str:
             },
             "noise_floor_ratio": noise_ratio,
         }
-        return _json_document(payload)
+        return json.dumps(payload, indent=2) + "\n"
     header = ["architecture", "device_count"] + list(fields) + ["noise_floor_ratio"]
     row = [arch.label, config.load.device_count] + list(fields.values()) + [noise_ratio]
     return _csv_document(header, [row])
 
 
-def _sweep_values(config: SystemConfig, param: str, start: float, stop: float, steps: int):
+def _sweep_values(param: str, start: float, stop: float, steps: int):
     path = "load.device_count" if param == "device_count" else param
-    if path not in config_paths():
+    if path not in _FIELD_KINDS:
         raise CliError(f"unknown sweep parameter: {param!r}", EXIT_BAD_INVOCATION)
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise CliError(f"bounds for {param!r} must be finite, got [{start!r}, {stop!r}]", EXIT_BAD_INVOCATION)
     if stop < start:
         raise CliError(f"sweep range is inverted: from {start!r} to {stop!r}", EXIT_BAD_INVOCATION)
-    leaf = get_value(config, path)
-    if isinstance(leaf, bool) or isinstance(leaf, str):
+    kind = _FIELD_KINDS[path]
+    if kind not in ("a number", "an integer"):
         raise CliError(f"sweep parameter must be numeric: {param!r}", EXIT_BAD_INVOCATION)
     raw = _linspace(start, stop, steps)
     if not all(map(math.isfinite, raw)):
@@ -301,7 +289,7 @@ def _sweep_values(config: SystemConfig, param: str, start: float, stop: float, s
             f"sweep span for {param!r} overflows: [{start!r}, {stop!r}] gives non-finite values",
             EXIT_BAD_INVOCATION,
         )
-    if isinstance(leaf, int):
+    if kind == "an integer":
         values: list[Any] = sorted(set(int(round(x)) for x in raw))
     else:
         values = sorted(set(raw))
@@ -356,7 +344,7 @@ def _sweep_json(parameter: str, rows: list[tuple]) -> str:
 
 def _run_sweep(args: argparse.Namespace) -> str:
     config = _load_config(args)
-    path, values = _sweep_values(config, args.param, args.start, args.stop, args.steps)
+    path, values = _sweep_values(args.param, args.start, args.stop, args.steps)
     if path == "load.device_count" and values[0] < 1:
         raise CliError(f"device_count sweep must start at >= 1, got {values[0]}", EXIT_BAD_INVOCATION)
     parameter = "device_count" if path == "load.device_count" else path
@@ -398,7 +386,7 @@ def _run_compare(args: argparse.Namespace) -> str:
         payload: dict[str, Any] = {"device_count": report.device_count, "rows": rows}
         if budget is not None:
             payload["budget_w"] = budget
-        return _json_document(payload)
+        return json.dumps(payload, indent=2) + "\n"
     return _csv_document(list(rows[0]), [list(entry.values()) for entry in rows])
 
 
@@ -437,7 +425,7 @@ def _run_optimize(args: argparse.Namespace) -> str:
                 for params, value in result.trace
             ],
         }
-        return _json_document(payload)
+        return json.dumps(payload, indent=2) + "\n"
     header = ["architecture"] + param_names + ["cooling_power_w", "evaluations"]
     row = (
         [result.architecture.label]

@@ -1,17 +1,19 @@
 """Strict config-file format: one dotted ``section.field = value`` per line.
 
 Keys mirror the SystemConfig field paths exactly (``wire.resistance_warm``,
-``load.v_rx``, ...). Values are plain SI numbers, ``true``/``false`` for
-booleans, or bare words for string fields; no unit suffixes. ``#`` starts a
-comment. Unknown keys are a hard error so typos cannot silently fall back
-to defaults.
+``load.v_rx``, ...). Values are plain ASCII SI numbers, ``true``/``false``
+for booleans, or bare words for string fields; no unit suffixes, digit-group
+underscores or non-ASCII digits. ``#`` starts a comment. Unknown keys are a
+hard error so typos cannot silently fall back to defaults. Each field's kind
+is read from its dataclass annotation, through ``model._FIELD_KINDS``, the
+table ``validate`` and the CLI sweep also read.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
+from dataclasses import replace
 
-from .model import SECTION_NAMES, SystemConfig, default_config
+from .model import _FIELD_KINDS, SystemConfig, default_config
 
 
 class ConfigError(ValueError):
@@ -22,51 +24,38 @@ class ConfigError(ValueError):
         self.path = path
 
 
-def _schema() -> dict[str, type]:
-    """Map every dotted field path to its leaf type."""
-    paths: dict[str, type] = {}
-    template = default_config()
-    for section in SECTION_NAMES:
-        for leaf in fields(getattr(template, section)):
-            paths[f"{section}.{leaf.name}"] = type(getattr(getattr(template, section), leaf.name))
-    return paths
-
-
-_SCHEMA = _schema()
-
-
 def config_paths() -> tuple[str, ...]:
     """All recognized dotted field paths, in declaration order."""
-    return tuple(_SCHEMA)
+    return tuple(_FIELD_KINDS)
 
 
 def coerce_value(path: str, raw: str):
     """Parse the textual value for ``path`` into its field type."""
-    if path not in _SCHEMA:
+    if path not in _FIELD_KINDS:
         raise ConfigError(f"unknown configuration key: {path!r}", path=path)
-    kind = _SCHEMA[path]
+    kind = _FIELD_KINDS[path]
     text = raw.strip()
     try:
-        if kind is bool:
+        if kind == "a boolean":
             lowered = text.lower()
             if lowered == "true":
                 return True
             if lowered == "false":
                 return False
             raise ValueError(f"expected true or false, got {text!r}")
-        if kind is int:
-            return int(text)
-        if kind is float:
-            value = float(text)
-            return value
-        return text
+        if kind is None:
+            return text
+        value = int(text) if kind == "an integer" else float(text)
     except ValueError as exc:
         raise ConfigError(f"{path}: invalid value {text!r} ({exc})", path=path) from exc
+    if "_" in text or not text.isascii():  # int() and float() also take 1_000 and any Unicode digit
+        raise ConfigError(f"{path}: invalid value {text!r} (expected a plain ASCII number)", path=path)
+    return value
 
 
 def set_value(config: SystemConfig, path: str, value) -> SystemConfig:
     """Return a config with the leaf at ``path`` replaced by ``value``."""
-    if path not in _SCHEMA:
+    if path not in _FIELD_KINDS:
         raise ConfigError(f"unknown configuration key: {path!r}", path=path)
     section, leaf = path.split(".", 1)
     updated_section = replace(getattr(config, section), **{leaf: value})
@@ -74,7 +63,7 @@ def set_value(config: SystemConfig, path: str, value) -> SystemConfig:
 
 
 def get_value(config: SystemConfig, path: str):
-    if path not in _SCHEMA:
+    if path not in _FIELD_KINDS:
         raise ConfigError(f"unknown configuration key: {path!r}", path=path)
     section, leaf = path.split(".", 1)
     return getattr(getattr(config, section), leaf)
@@ -92,7 +81,7 @@ def serialize_config(config: SystemConfig) -> str:
     """Render a config as parseable text, one dotted key per line."""
     lines = ["# cryopower system configuration (strict SI units)"]
     previous_section = None
-    for path in _SCHEMA:
+    for path in _FIELD_KINDS:
         section = path.split(".", 1)[0]
         if section != previous_section:
             lines.append("")
@@ -120,7 +109,7 @@ def parse_config(text: str, base: SystemConfig | None = None) -> SystemConfig:
         if path in seen:
             raise ConfigError(f"line {lineno}: duplicate key {path!r}", path=path)
         seen.add(path)
-        if path not in _SCHEMA:
+        if path not in _FIELD_KINDS:
             raise ConfigError(f"line {lineno}: unknown configuration key: {path!r}", path=path)
         config = set_value(config, path, coerce_value(path, raw_value))
     return config

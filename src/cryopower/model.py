@@ -267,45 +267,54 @@ _RELATIONS: dict[str, Callable[[object, object], bool]] = {">=": lt, ">": le}
 # The types each type check accepts; a number or an integer is never a bool.
 _TYPES = {"a number": (int, float), "an integer": int, "a boolean": bool}
 
-# Every check validate makes, in report order: field path, type (a _TYPES key)
-# and bound (a _BOUNDS key or a relation), None for none. A relation needs both
-# values to be numbers and its field to pass its type check; warm >= cold has none.
-_RULES: tuple[tuple[str, str | None, str | None], ...] = (
-    ("wire.resistance_warm", "a number", "> 0"),
-    ("wire.resistance_cold", "a number", "> 0"),
-    ("wire.resistance_warm", None, ">= wire.resistance_cold"),
-    ("wire.resistance_mode", None, f"one of {RESISTANCE_MODES}"),
-    ("wire.thermal_load_per_wire", "a number", ">= 0"),
-    ("wire.wire_count", "an integer", ">= 1"),
-    ("load.power_per_device", "a number", ">= 0"),
-    ("load.device_count", "an integer", ">= 0"),
-    ("load.v_rx", "a number", "> 0"),
-    ("load.v_rx_hv", "a number", ">= load.v_rx"),
-    ("coupling.eta_rad_r", "a number", "in (0, 1]"),
-    ("coupling.eta_coup_ant", "a number", "in (0, 1]"),
-    ("coupling.eta_coup_coil", "a number", "in (0, 1]"),
-    ("coupling.loss_to_cold_fraction", "a number", "in [0, 1]"),
-    ("converter.r_hs", "a number", ">= 0"),
-    ("converter.r_ls", "a number", ">= 0"),
-    ("converter.r_l", "a number", ">= 0"),
-    ("converter.v_out", "a number", "> 0"),
-    ("converter.v_in", "a number", "> converter.v_out"),
-    ("converter.i_out", "a number", ">= 0"),
-    ("converter.t_r", "a number", ">= 0"),
-    ("converter.t_f", "a number", ">= 0"),
-    ("converter.f_sw", "a number", ">= 0"),
-    ("converter.duty", "a number", "in (0, 1)"),
-    ("converter.include_loss", "a boolean", None),
-    ("converter.attach_hv_nonradiative", "a boolean", None),
-    ("cooling.t_cold", "a number", "> 0"),
-    ("cooling.t_ambient", "a number", "> cooling.t_cold"),
-    ("cooling.eta_c", "a number", "in (0, 1]"),
-    ("stage.q_ambient_leak", "a number", ">= 0"),
-    ("stage.q_electronics", "a number", ">= 0"),
-    ("noise.s_white", "a number", "> 0"),
-    ("noise.f_corner", "a number", ">= 0"),
-    ("noise.wireless_floor_ratio", "a number", "in (0, 1]"),
-    ("noise.switching_spur", "a number", ">= 0"),
+# Every field path, in declaration order, with the kind its annotation declares:
+# the _TYPES key validate checks and configio parses, None for a string. Any
+# other annotation fails at import.
+_FIELD_KINDS: dict[str, str | None] = {
+    f"{section.name}.{leaf.name}": dict(float="a number", int="an integer", bool="a boolean", str=None)[leaf.type]
+    for section in fields(SystemConfig)
+    for leaf in fields(section.default_factory)
+}
+
+# Every check validate makes, in report order: field path and bound (a _BOUNDS
+# key or a relation), None for none. A path's first check also checks its kind.
+# A relation needs both values to be numbers and its field to pass its type check.
+_RULES: tuple[tuple[str, str | None], ...] = (
+    ("wire.resistance_warm", "> 0"),
+    ("wire.resistance_cold", "> 0"),
+    ("wire.resistance_warm", ">= wire.resistance_cold"),
+    ("wire.resistance_mode", f"one of {RESISTANCE_MODES}"),
+    ("wire.thermal_load_per_wire", ">= 0"),
+    ("wire.wire_count", ">= 1"),
+    ("load.power_per_device", ">= 0"),
+    ("load.device_count", ">= 0"),
+    ("load.v_rx", "> 0"),
+    ("load.v_rx_hv", ">= load.v_rx"),
+    ("coupling.eta_rad_r", "in (0, 1]"),
+    ("coupling.eta_coup_ant", "in (0, 1]"),
+    ("coupling.eta_coup_coil", "in (0, 1]"),
+    ("coupling.loss_to_cold_fraction", "in [0, 1]"),
+    ("converter.r_hs", ">= 0"),
+    ("converter.r_ls", ">= 0"),
+    ("converter.r_l", ">= 0"),
+    ("converter.v_out", "> 0"),
+    ("converter.v_in", "> converter.v_out"),
+    ("converter.i_out", ">= 0"),
+    ("converter.t_r", ">= 0"),
+    ("converter.t_f", ">= 0"),
+    ("converter.f_sw", ">= 0"),
+    ("converter.duty", "in (0, 1)"),
+    ("converter.include_loss", None),
+    ("converter.attach_hv_nonradiative", None),
+    ("cooling.t_cold", "> 0"),
+    ("cooling.t_ambient", "> cooling.t_cold"),
+    ("cooling.eta_c", "in (0, 1]"),
+    ("stage.q_ambient_leak", ">= 0"),
+    ("stage.q_electronics", ">= 0"),
+    ("noise.s_white", "> 0"),
+    ("noise.f_corner", ">= 0"),
+    ("noise.wireless_floor_ratio", "in (0, 1]"),
+    ("noise.switching_spur", ">= 0"),
 )
 
 
@@ -317,7 +326,9 @@ def _compile_rule(path: str, kind: str | None, bound: str | None) -> tuple:
     return path, attrgetter(path), kind, _TYPES.get(kind), bound, _RELATIONS[relation], attrgetter(other)
 
 
-_CHECKS = tuple(_compile_rule(*rule) for rule in _RULES)
+_CHECKS = tuple(
+    _compile_rule(path, kinds.pop(path, None), bound) for kinds in [dict(_FIELD_KINDS)] for path, bound in _RULES
+)
 
 
 def validate(config: SystemConfig) -> ValidationResult:
@@ -354,5 +365,3 @@ def require_valid(config: SystemConfig) -> SystemConfig:
         raise ValueError(f"invalid configuration: {lines}")
     return config
 
-
-SECTION_NAMES: tuple[str, ...] = tuple(f.name for f in fields(SystemConfig))

@@ -19,7 +19,6 @@ from cryopower.cli import (
     EXIT_INVALID_CONFIG,
     EXIT_IO_ERROR,
     EXIT_OK,
-    _json_value,
     _require_valid,
     _sweep_json,
     _sweep_rows,
@@ -28,8 +27,8 @@ from cryopower.cli import (
     run,
 )
 from cryopower.compare import FREE_PARAMETER_NAMES, evaluate_architecture, optimize, sweep_loss
-from cryopower.configio import config_paths, get_value, parse_config, serialize_config, set_value
-from cryopower.model import ARCHITECTURES, ArchitectureKind, default_config
+from cryopower.configio import get_value, parse_config, serialize_config, set_value
+from cryopower.model import _FIELD_KINDS, ARCHITECTURES, ArchitectureKind, default_config
 
 from strategies import finite, system_configs
 
@@ -271,9 +270,7 @@ def sweep_outcome(sweep, config, path, values):
 
 # Every numeric leaf a parameter sweep can move; a device-count sweep takes the other branch.
 PARAM_SWEEP_PATHS = [
-    path
-    for path in config_paths()
-    if path != "load.device_count" and type(get_value(default_config(), path)) in (int, float)
+    path for path, kind in _FIELD_KINDS.items() if path != "load.device_count" and kind in ("a number", "an integer")
 ]
 
 
@@ -283,7 +280,7 @@ def param_sweeps(draw):
     config = draw(st.one_of(st.just(default_config()), system_configs()))
     path = draw(st.sampled_from(PARAM_SWEEP_PATHS))
     leaf = get_value(config, path)
-    if isinstance(leaf, int):
+    if _FIELD_KINDS[path] == "an integer":
         values = st.one_of(st.integers(-2, 64), st.just(10**400))
     else:
         edges = [0.0, 1.0, 1e-170, 5e-324, 1e308, leaf, math.nextafter(leaf, -math.inf), math.nextafter(leaf, 1e308)]
@@ -431,22 +428,9 @@ json_leaves = st.one_of(
     st.booleans(),
     st.none(),
 )
-json_values = st.recursive(
-    json_leaves,
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.tuples(children, children),
-        st.dictionaries(st.text(max_size=6), children, max_size=4),
-    ),
-    max_leaves=24,
-)
 
 
 class TestJsonWriter:
-    @given(json_values)
-    def test_matches_json_dumps(self, payload):
-        assert _json_value(payload) == json.dumps(payload, indent=2)
-
     @given(
         st.one_of(st.text(), st.just("device_count")),
         st.lists(
@@ -575,6 +559,14 @@ class TestExitCodes:
         assert main(["evaluate", "--arch", "wired", "--config", str(path)]) == EXIT_INVALID_CONFIG
         captured = capsys.readouterr()
         assert "wire.resistanse_warm" in captured.err
+        assert captured.out == ""
+
+    def test_number_that_is_not_plain_ascii(self, tmp_path, capsys):
+        path = tmp_path / "underscore.cfg"
+        path.write_text("load.v_rx = 1_0.5\n", encoding="utf-8")
+        assert main(["evaluate", "--arch", "wired", "--config", str(path)]) == EXIT_INVALID_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == "error: config error: load.v_rx: invalid value '1_0.5' (expected a plain ASCII number)\n"
         assert captured.out == ""
 
     def test_invariant_violation_in_config(self, tmp_path, capsys):

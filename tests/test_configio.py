@@ -1,5 +1,7 @@
 """Config-file format: strict schema, coercion, and round-trip fidelity."""
 
+import math
+
 import pytest
 
 from cryopower.configio import (
@@ -11,7 +13,7 @@ from cryopower.configio import (
     serialize_config,
     set_value,
 )
-from cryopower.model import SystemConfig, default_config, validate
+from cryopower.model import _FIELD_KINDS, SystemConfig, default_config, validate
 
 
 def test_round_trip_defaults():
@@ -139,3 +141,83 @@ def test_parse_does_not_mutate_base():
     parse_config("load.device_count = 7\n", base=base)
     assert base.load.device_count == default_config().load.device_count
     assert isinstance(parse_config("", base=base), SystemConfig)
+
+
+# The type column of model._RULES before each field's kind was read from its
+# annotation, in declaration order. Do not edit it to follow a change in
+# cryopower.model: a difference is a change of behaviour.
+FROZEN_FIELD_KINDS = {
+    "wire.resistance_warm": "a number",
+    "wire.resistance_cold": "a number",
+    "wire.resistance_mode": None,
+    "wire.thermal_load_per_wire": "a number",
+    "wire.wire_count": "an integer",
+    "load.power_per_device": "a number",
+    "load.device_count": "an integer",
+    "load.v_rx": "a number",
+    "load.v_rx_hv": "a number",
+    "coupling.eta_rad_r": "a number",
+    "coupling.eta_coup_ant": "a number",
+    "coupling.eta_coup_coil": "a number",
+    "coupling.loss_to_cold_fraction": "a number",
+    "converter.r_hs": "a number",
+    "converter.r_ls": "a number",
+    "converter.r_l": "a number",
+    "converter.v_in": "a number",
+    "converter.v_out": "a number",
+    "converter.i_out": "a number",
+    "converter.t_r": "a number",
+    "converter.t_f": "a number",
+    "converter.f_sw": "a number",
+    "converter.duty": "a number",
+    "converter.include_loss": "a boolean",
+    "converter.attach_hv_nonradiative": "a boolean",
+    "cooling.t_cold": "a number",
+    "cooling.t_ambient": "a number",
+    "cooling.eta_c": "a number",
+    "stage.q_ambient_leak": "a number",
+    "stage.q_electronics": "a number",
+    "noise.s_white": "a number",
+    "noise.f_corner": "a number",
+    "noise.wireless_floor_ratio": "a number",
+    "noise.switching_spur": "a number",
+}
+
+
+class TestFieldKinds:
+    def test_annotations_give_the_frozen_type_column(self):
+        assert list(_FIELD_KINDS.items()) == list(FROZEN_FIELD_KINDS.items())
+        assert config_paths() == tuple(FROZEN_FIELD_KINDS)
+
+    def test_serialized_default_coerces_to_the_default_type(self):
+        # The types configio once took from the default values.
+        config = default_config()
+        lines = [line for line in serialize_config(config).splitlines() if "=" in line]
+        assert len(lines) == len(FROZEN_FIELD_KINDS)
+        for line in lines:
+            path, text = (part.strip() for part in line.split("="))
+            value = coerce_value(path, text)
+            assert type(value) is type(get_value(config, path)) and value == get_value(config, path), path
+
+
+class TestPlainAsciiNumbers:
+    @pytest.mark.parametrize(
+        "path, text",
+        [("wire.wire_count", "1_000"), ("load.v_rx", "1_0.5"), ("load.v_rx", "\u0661\u0662")],
+    )
+    def test_rejected_and_named(self, path, text):
+        with pytest.raises(ConfigError) as caught:
+            parse_config(f"{path} = {text}\n")
+        assert str(caught.value) == f"{path}: invalid value {text!r} (expected a plain ASCII number)"
+        assert caught.value.path == path
+
+    def test_exponent_sign_and_negative_zero_still_parse(self):
+        cfg = parse_config("load.v_rx = 1e3\nload.v_rx_hv = +2e3\nwire.wire_count = +2\nstage.q_electronics = -0.0\n")
+        assert (cfg.load.v_rx, cfg.load.v_rx_hv, cfg.wire.wire_count) == (1000.0, 2000.0, 2)
+        assert math.copysign(1.0, cfg.stage.q_electronics) == -1.0
+        assert validate(cfg).ok
+
+    def test_infinity_parses_and_validate_rejects_it(self):
+        cfg = parse_config("load.v_rx = inf\n")
+        assert cfg.load.v_rx == math.inf
+        assert [str(item) for item in validate(cfg).violations][0] == "load.v_rx: must be finite, got inf"
