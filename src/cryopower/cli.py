@@ -16,6 +16,7 @@ import io
 import json
 import math
 import operator
+import re
 import sys
 from typing import Any, Sequence
 
@@ -31,7 +32,7 @@ from .compare import (
     optimize,
     scorecard,
 )
-from .configio import ConfigError, parse_config, serialize_config, set_value
+from .configio import ConfigError, _plain_number, parse_config, serialize_config, set_value
 from .model import _FIELD_KINDS, ARCHITECTURES, ArchitectureKind, SystemConfig, default_config, validate
 from .noise import white_floor_ratio
 from .thermal import _heat_rows
@@ -101,11 +102,16 @@ def _json_array(items: Sequence[str], depth: int) -> str:
     return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
 
 
-def _positive_float(text: str) -> float:
+def _number(text: str, convert=float, failure: str = "invalid float value: {!r}"):
+    """``text`` read by the config-file number rule; argparse reports ``failure`` otherwise."""
     try:
-        value = float(text)
+        return _plain_number(text, convert)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(failure.format(text)) from exc
+
+
+def _positive_float(text: str) -> float:
+    value = _number(text, float, "expected a number, got {!r}")
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     if value <= 0:
@@ -114,10 +120,7 @@ def _positive_float(text: str) -> float:
 
 
 def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
+    value = _number(text, int, "expected an integer, got {!r}")
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a value >= 0, got {text!r}")
     return value
@@ -159,8 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="device_count",
         help="parameter to sweep: device_count or a dotted config path (default: device_count)",
     )
-    p_sweep.add_argument("--from", dest="start", type=float, required=True)
-    p_sweep.add_argument("--to", dest="stop", type=float, required=True)
+    p_sweep.add_argument("--from", dest="start", type=_number, required=True)
+    p_sweep.add_argument("--to", dest="stop", type=_number, required=True)
     p_sweep.add_argument("--steps", type=_positive_int, required=True)
 
     p_cmp = sub.add_parser("compare", parents=[common], help="tabulate all architectures")
@@ -187,6 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="do not tie converter.v_in to v_rx_hv while optimizing",
     )
+    for subparser in sub.choices.values():
+        # argparse's own pattern takes -1000 and -1.5 as negative numbers, but reads -1e3 as an option.
+        subparser._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 
@@ -398,7 +404,7 @@ def _run_optimize(args: argparse.Namespace) -> str:
         if name in free:
             raise CliError(f"free parameter {name!r} given twice", EXIT_BAD_INVOCATION)
         try:
-            lo, hi = float(lo_text), float(hi_text)
+            lo, hi = _plain_number(lo_text), _plain_number(hi_text)
         except ValueError as exc:
             raise CliError(f"invalid bounds for {name!r}: {exc}", EXIT_BAD_INVOCATION) from exc
         free[name] = (lo, hi)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import gc
 import math
-from _thread import allocate_lock
+from _thread import RLock
 from dataclasses import replace
 from itertools import repeat
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -153,48 +153,11 @@ def _is_whole(count: float) -> bool:
         return False
 
 
-class _CollectorPause:
-    """Keeps the cyclic garbage collector off while at least one pause is open.
+# Thousands of tracked records start a young collection every few hundred allocations, and
+# none can find garbage when every object is in the result, so a sweep pauses the collector
+# while it builds. Sweeps build one at a time; a sweep run inside another's build reenters.
+_SWEEP_BUILD = RLock()
 
-    Building thousands of tracked records starts a young collection every
-    few hundred allocations, and none of them can find garbage when every
-    object is part of the result. Pauses may overlap across threads: the
-    first to open records whether the collector was enabled and disables
-    it, and the last to close re-enables it, only if it was enabled, and
-    then runs the collection that the pause held back, so that the call
-    which filled the young generation pays for its pass.
-    """
-
-    def __init__(self) -> None:
-        self._lock = allocate_lock()
-        self._open = 0
-        self._was_enabled = False
-
-    def __enter__(self) -> None:
-        with self._lock:
-            if not self._open:
-                self._was_enabled = gc.isenabled()
-                gc.disable()
-            self._open += 1
-
-    def __exit__(self, *exc_info: object) -> None:
-        with self._lock:
-            self._open -= 1
-            resume = not self._open and self._was_enabled
-            if resume:
-                gc.enable()
-        if resume:
-            # The young generation is over its threshold now, so the next
-            # tracked allocation starts the collection the pause held back,
-            # of the generations the collector finds due. Allocate one here,
-            # so that this call pays for it. gc.collect(0) would never
-            # examine the older generations in a loop of sweeps, and cyclic
-            # garbage promoted there would stay unfreed.
-            [None]
-
-
-# One per process, as the collector it pauses is.
-_COLLECTOR_PAUSE = _CollectorPause()
 
 def sweep_loss(
     config: SystemConfig,
@@ -213,9 +176,8 @@ def sweep_loss(
 
     The cyclic garbage collector is paused while the result records are
     built, and the one collection it held back, if any, follows. Concurrent
-    calls share one pause, which ends when the last of them is done; code
-    that toggles :mod:`gc` from another thread during a sweep may find it
-    re-enabled.
+    calls build their records one at a time; code that toggles :mod:`gc`
+    from another thread during a sweep may find it re-enabled.
     """
     counts = _device_axis(config, device_counts)
 
@@ -245,8 +207,21 @@ def sweep_loss(
         )
         per_arch.append(map(tuple.__new__, repeat(ArchitectureEvaluation), zip(losses, budgets)))
     points = map(tuple.__new__, repeat(SweepPoint), zip(counts, zip(*per_arch)))
-    with _COLLECTOR_PAUSE:
-        points = tuple(points)
+    with _SWEEP_BUILD:
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            points = tuple(points)
+        finally:
+            if was_enabled:
+                gc.enable()
+                # The young generation is over its threshold now, so the next
+                # tracked allocation starts the collection the pause held back,
+                # of the generations the collector finds due. Allocate one here,
+                # so that this call pays for it. gc.collect(0) would never
+                # examine the older generations in a loop of sweeps, and cyclic
+                # garbage promoted there would stay unfreed.
+                [None]
     return SweepResult(parameter="device_count", points=points)
 
 

@@ -29,6 +29,14 @@ def config_paths() -> tuple[str, ...]:
     return tuple(_FIELD_KINDS)
 
 
+def _plain_number(text: str, convert=float):
+    """``convert(text)``, for ``int`` or ``float``; a ``ValueError`` unless ``text`` is plain ASCII."""
+    value = convert(text)
+    if "_" in text or not text.isascii():  # int() and float() also take 1_000 and any Unicode digit
+        raise ValueError("expected a plain ASCII number")
+    return value
+
+
 def coerce_value(path: str, raw: str):
     """Parse the textual value for ``path`` into its field type."""
     if path not in _FIELD_KINDS:
@@ -45,12 +53,9 @@ def coerce_value(path: str, raw: str):
             raise ValueError(f"expected true or false, got {text!r}")
         if kind is None:
             return text
-        value = int(text) if kind == "an integer" else float(text)
+        return _plain_number(text, int if kind == "an integer" else float)
     except ValueError as exc:
         raise ConfigError(f"{path}: invalid value {text!r} ({exc})", path=path) from exc
-    if "_" in text or not text.isascii():  # int() and float() also take 1_000 and any Unicode digit
-        raise ConfigError(f"{path}: invalid value {text!r} (expected a plain ASCII number)", path=path)
-    return value
 
 
 def set_value(config: SystemConfig, path: str, value) -> SystemConfig:

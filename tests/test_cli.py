@@ -22,6 +22,7 @@ from cryopower.cli import (
     _require_valid,
     _sweep_json,
     _sweep_rows,
+    build_parser,
     main,
     parse_invocation,
     run,
@@ -35,6 +36,12 @@ from strategies import finite, system_configs
 
 def invoke(*args: str) -> tuple[int, str, str]:
     return run(parse_invocation(list(args)))
+
+
+def usage_error(subcommand: str, message: str) -> str:
+    """The stderr argparse writes when it rejects an argument of ``subcommand``."""
+    (subparsers,) = build_parser()._subparsers._group_actions
+    return subparsers.choices[subcommand].format_usage() + f"cryopower {subcommand}: error: {message}\n"
 
 
 def read_csv(text: str) -> list[dict[str, str]]:
@@ -568,6 +575,55 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err == "error: config error: load.v_rx: invalid value '1_0.5' (expected a plain ASCII number)\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # Not plain ASCII: int() and float() take these, the config-file rule does not.
+            (["evaluate", "--arch", "wired", "--devices", "1_000"], "argument --devices: expected an integer, got '1_000'"),
+            (["evaluate", "--arch", "wired", "--devices", "١٢"], "argument --devices: expected an integer, got '١٢'"),
+            (["compare", "--budget", "1_0"], "argument --budget: expected a number, got '1_0'"),
+            (["compare", "--devices", "2_00"], "argument --devices: expected an integer, got '2_00'"),
+            (["sweep", "--from", "1", "--to", "1_0", "--steps", "3"], "argument --to: invalid float value: '1_0'"),
+            (["sweep", "--from", "1", "--to", "10", "--steps", "3_0"], "argument --steps: expected an integer, got '3_0'"),
+            # Text that was already rejected keeps its message.
+            (["sweep", "--from", "x", "--to", "10", "--steps", "3"], "argument --from: invalid float value: 'x'"),
+            (["evaluate", "--arch", "wired", "--devices", "x"], "argument --devices: expected an integer, got 'x'"),
+            (["compare", "--budget", "inf"], "argument --budget: expected a finite number, got 'inf'"),
+            # A negative number in exponent form is a value, not an option, and follows the same rule.
+            (["compare", "--budget", "-1e3"], "argument --budget: expected a value > 0, got '-1e3'"),
+            (["sweep", "--from", "-1_0", "--to", "10", "--steps", "3"], "argument --from: invalid float value: '-1_0'"),
+            (["evaluate", "--arch", "wired", "--devices", "-1e3"], "argument --devices: expected an integer, got '-1e3'"),
+        ],
+    )
+    def test_rejected_command_line_number(self, capsys, argv, message):
+        assert main(argv) == EXIT_BAD_INVOCATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == usage_error(argv[0], message)
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["optimize", "--arch", "hv_wired", "--free", "v_rx_hv", "2", "2_0"], EXIT_BAD_INVOCATION,
+             "invalid bounds for 'v_rx_hv': expected a plain ASCII number"),
+            (["optimize", "--arch", "hv_wired", "--free", "v_rx_hv", "2", "x"], EXIT_BAD_INVOCATION,
+             "invalid bounds for 'v_rx_hv': could not convert string to float: 'x'"),
+            (["optimize", "--arch", "hv_wired", "--free", "v_rx_hv", "-1e0", "2"], EXIT_BAD_INVOCATION,
+             "v_rx_hv lower bound must be >= load.v_rx (2.0), got -1.0"),
+            (["optimize", "--arch", "hv_wired", "--free", "v_rx_hv", "-1", "2"], EXIT_BAD_INVOCATION,
+             "v_rx_hv lower bound must be >= load.v_rx (2.0), got -1.0"),
+            (["sweep", "--param", "load.v_rx", "--from", "-1e3", "--to", "2", "--steps", "3"], EXIT_INVALID_CONFIG,
+             "config invalid: load.v_rx: must be > 0, got -1000.0"),
+            (["sweep", "--param", "load.v_rx", "--from", "-1000", "--to", "2", "--steps", "3"], EXIT_INVALID_CONFIG,
+             "config invalid: load.v_rx: must be > 0, got -1000.0"),
+        ],
+    )
+    def test_command_line_bound_reaches_its_check(self, capsys, argv, code, message):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_invariant_violation_in_config(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

@@ -5,6 +5,7 @@ import math
 import re
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -195,92 +196,86 @@ class TestSweepCollectorPause:
         assert gc.collect() < 30
 
     @pytest.mark.parametrize("enabled", [True, False])
-    @pytest.mark.parametrize("close_first", [0, 1])
-    def test_overlapping_pauses_resume_when_the_last_closes(self, enabled, close_first):
-        _set_collector(enabled)
-        opened = [threading.Event(), threading.Event()]
-        release = [threading.Event(), threading.Event()]
-
-        def hold(i):
-            with compare._COLLECTOR_PAUSE:
-                opened[i].set()
-                release[i].wait(10)
-
-        threads = [threading.Thread(target=hold, args=(i,)) for i in (0, 1)]
-        try:
-            for thread, event in zip(threads, opened):
-                thread.start()
-                assert event.wait(10)
-                assert not gc.isenabled()
-            for i in (close_first, 1 - close_first):
-                release[i].set()
-                threads[i].join(10)
-                assert not threads[i].is_alive()
-                assert gc.isenabled() is (enabled and i != close_first)
-        finally:
-            for event in release:
-                event.set()
-
-    @pytest.mark.parametrize("enabled", [True, False])
     def test_failure_while_building_restores_collector(self, enabled):
         _set_collector(enabled)
         with pytest.raises(RuntimeError, match="column read failed"):
             sweep_loss(default_config(), range(1, 201), map_fn=_fail_after_first_transmission_loss)
         assert gc.isenabled() is enabled
 
-    def test_pause_opened_during_another_pause_opening(self, monkeypatch):
-        # A stand-in for the gc module, whose first disable() lets a second
-        # thread open its pause before the first pause has counted itself.
-        # The shipped pause makes the second thread wait for its lock, so
-        # that wait times out; a form that races lets it through, and then
-        # either re-enables the collector while the second pause is still
-        # open or leaves it disabled after both have closed.
-        start_second, second_opened, first_closed = threading.Event(), threading.Event(), threading.Event()
+    def test_two_sweeps_never_interleave_their_collector_calls(self, monkeypatch):
+        # A stand-in for the gc module that logs each call; its first
+        # disable() starts a second thread's sweep and gives it 0.5 s to
+        # reach the collector. The shipped sweep makes the second thread wait
+        # for the first to re-enable; a form without the lock lets it read
+        # the collector as disabled, and then nothing re-enables it.
+        start_second = threading.Event()
+        log = []
 
         class Collector:
             enabled = True
             first_disable = True
 
             def isenabled(self):
+                log.append((threading.current_thread().name, "isenabled"))
                 return self.enabled
 
             def enable(self):
+                log.append((threading.current_thread().name, "enable"))
                 self.enabled = True
 
             def disable(self):
+                log.append((threading.current_thread().name, "disable"))
                 self.enabled = False
                 if self.first_disable:
                     self.first_disable = False
                     start_second.set()
-                    second_opened.wait(0.5)
+                    time.sleep(0.5)
 
         collector = Collector()
+        cfg = default_config()
         monkeypatch.setattr(compare, "gc", collector)
-        enabled_in_second = []
 
-        def second_records():
-            second_opened.set()
-            first_closed.wait(10)
-            enabled_in_second.append(collector.enabled)
-            yield None
-
-        def open_second():
+        def second_sweep():
             if start_second.wait(10):
-                with compare._COLLECTOR_PAUSE:
-                    tuple(second_records())
+                sweep_loss(cfg, range(1, 11))
 
-        second = threading.Thread(target=open_second)
+        second = threading.Thread(target=second_sweep, name="second")
         second.start()
         try:
-            with compare._COLLECTOR_PAUSE:
-                pass
+            sweep_loss(cfg, range(1, 11))
         finally:
-            first_closed.set()
             start_second.set()
             second.join(10)
         assert not second.is_alive()
-        assert enabled_in_second == [False], "collector re-enabled while a pause was open"
-        assert collector.enabled, "collector left disabled after every pause closed"
+        first = threading.current_thread().name
+        calls = ["isenabled", "disable", "enable"]
+        assert log == [(first, call) for call in calls] + [("second", call) for call in calls]
+        assert collector.enabled, "collector left disabled after both sweeps"
+
+    def test_sweep_from_inside_a_record_build_completes(self):
+        enabled = gc.isenabled()
+        cfg = default_config()
+        counts = range(1, 21)
+        expected = sweep_loss(cfg, counts)
+        inner = []
+
+        def sweep_while_read(column):
+            inner.append(sweep_loss(cfg, counts))
+            yield from column
+
+        def map_fn(fn, archs):
+            columns = [fn(arch) for arch in archs]
+            columns[0] = [sweep_while_read(columns[0][0]), *columns[0][1:]]
+            return columns
+
+        # A daemon thread, so that a sweep that deadlocks fails the test instead of hanging the run.
+        outer = []
+        thread = threading.Thread(target=lambda: outer.append(sweep_loss(cfg, counts, map_fn=map_fn)), daemon=True)
+        thread.start()
+        thread.join(10)
+        assert not thread.is_alive(), "sweep inside a record build did not complete"
+        assert outer == inner == [expected]
+        assert gc.isenabled() is enabled
 
     def test_concurrent_sweeps_leave_collector_enabled(self):
         gc.enable()
