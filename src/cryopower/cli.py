@@ -191,8 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="do not tie converter.v_in to v_rx_hv while optimizing",
     )
     for subparser in sub.choices.values():
-        # argparse's own pattern takes -1000 and -1.5 as negative numbers, but reads -1e3 as an option.
-        subparser._negative_number_matcher = re.compile(r"-\.?\d")
+        # argparse's own pattern takes -1000 and -1.5 as negative numbers, but reads -1e3 and -inf as options.
+        subparser._negative_number_matcher = re.compile(r"-\.?\d|-(?:inf|infinity|nan)$", re.IGNORECASE)
     return parser
 
 

@@ -175,9 +175,10 @@ def sweep_loss(
     results are assembled in input order either way.
 
     The cyclic garbage collector is paused while the result records are
-    built, and the one collection it held back, if any, follows. Concurrent
-    calls build their records one at a time; code that toggles :mod:`gc`
-    from another thread during a sweep may find it re-enabled.
+    built, and the one collection it held back, if any, runs before the call
+    returns. Concurrent calls build their records one at a time; code that
+    toggles :mod:`gc` from another thread during a sweep may find it
+    re-enabled.
     """
     counts = _device_axis(config, device_counts)
 
@@ -215,13 +216,11 @@ def sweep_loss(
         finally:
             if was_enabled:
                 gc.enable()
-                # The young generation is over its threshold now, so the next
-                # tracked allocation starts the collection the pause held back,
-                # of the generations the collector finds due. Allocate one here,
-                # so that this call pays for it. gc.collect(0) would never
-                # examine the older generations in a loop of sweeps, and cyclic
-                # garbage promoted there would stay unfreed.
-                [None]
+    # Where the pause held back a collection, the young generation is over its
+    # threshold, so the next tracked allocation, the result record, starts it
+    # (of the generations the collector finds due) and this call pays for it.
+    # gc.collect(0) would never examine the older generations in a loop of
+    # sweeps, and cyclic garbage promoted there would stay unfreed.
     return SweepResult(parameter="device_count", points=points)
 
 
@@ -606,8 +605,9 @@ def optimize(
     NumPy, and so is each golden-section probe. Both read one cell evaluator
     (:func:`cryopower.thermal._cell_cooling`) built per call, which works out
     once what ``v_rx_hv`` and ``wire_count`` do not move (link, resistance,
-    COP, leak and electronics), so a cell builds only the rail, the converter
-    term and the wire terms. Every value is bit-identical to the single-point path
+    COP, leak and electronics); a cell computes the rail or link term, the
+    converter term and the heat sum on floats, without building a coefficient
+    record. Every value is bit-identical to the single-point path
     (:func:`resolve_parameters` and :func:`cryopower.thermal.heat_budget`);
     the first grid cell still runs through it, so an invalid config raises
     the same error.

@@ -176,7 +176,6 @@ def _coefficients(
     wire_count=None,
     couple_converter_input: bool = True,
     check: bool = True,
-    link: tuple | None = None,
 ) -> _Coefficients:
     """The loss coefficients of ``arch``, from the rail, link and converter flag it declares.
 
@@ -188,9 +187,8 @@ def _coefficients(
     ``check``, the architecture's inputs are checked as its leaf functions
     check them, after the resistance mode. The grid kernel passes
     ``check=False``; its callers run one point through the scalar path first.
-    A caller building many records passes their :func:`_link_terms` as ``link``.
     """
-    linear, r_wire, cold_fraction, staged = _link_terms(arch, config, check) if link is None else link
+    linear, r_wire, cold_fraction, staged = _link_terms(arch, config, check)
     conv = config.converter
     n = config.wire.wire_count if wire_count is None else wire_count
     rail = arch._rail  # the LoadSpec field name, then its voltage

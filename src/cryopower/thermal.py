@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .losses import LossBreakdown, _coefficients, _link_terms, architecture_loss_at
+from .losses import LossBreakdown, _buck_efficiency, _coefficients, _link_terms, architecture_loss_at, dcdc_efficiency
 from .model import ArchitectureKind, SystemConfig, _dataclass_compatible
 
 
@@ -155,13 +155,34 @@ def _cell_cooling(
 ) -> Callable[[float | None, int | None], float]:
     """``_heat_rows(arch, config, (p_rx,), v, n, couple)[0][-1]`` as a function ``cooling(v, n)``.
 
-    What neither ``v`` nor ``n`` moves is worked out once: a call builds only
-    the rail, the converter term and the wire terms, and sums the heat.
+    For a float rail ``v`` (or None) and an integer wire count ``n`` (or
+    None). What neither moves (the link, resistance, COP, leak and
+    electronics) is worked out once; a call computes the rail or link term,
+    the converter term and the heat sum on floats, with the operations and
+    order of :func:`cryopower.losses._coefficients`, ``_Coefficients.losses``
+    and :func:`_stage_heat`, and builds no record. So every value and every
+    error is that of :func:`_heat_rows`, raised at the call.
     """
-    link, terms = _link_terms(arch, config, check=False), _stage_terms(arch, config)
+    linear, r_wire, cold_fraction, staged = _link_terms(arch, config, check=False)
+    per_wire, leak, electronics, cop = _stage_terms(arch, config)
+    conv, v_out, wires = config.converter, config.converter.v_out, config.wire.wire_count
+    rail = None if arch._rail is None else getattr(config.load, arch._rail)
+    moves_rail = arch._rail != "v_rx"
 
     def cooling(v_rx_hv: float | None, wire_count: int | None) -> float:
-        coefficients = _coefficients(arch, config, v_rx_hv, wire_count, couple_converter_input, False, link)
-        return _stage_heat(terms, coefficients.losses(p_rx), _conduction(terms, coefficients.wires))[-1]
+        n = wires if wire_count is None else wire_count
+        converter = 0.0
+        if staged:
+            if v_rx_hv is None or not couple_converter_input:
+                converter = p_rx * (1.0 / dcdc_efficiency(conv) - 1.0)
+            elif v_rx_hv > v_out:
+                converter = p_rx * (1.0 / _buck_efficiency(conv, v_rx_hv, v_out / v_rx_hv) - 1.0)
+        if rail is None:
+            transmission = p_rx * linear
+        else:
+            v = v_rx_hv if moves_rail and v_rx_hv is not None else rail
+            transmission = (p_rx * p_rx) / (v * v) * r_wire / n
+        p_load = 0.0 if per_wire is None else per_wire * n
+        return (p_load + (transmission * cold_fraction + converter) + leak + electronics) / cop
 
     return cooling

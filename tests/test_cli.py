@@ -594,6 +594,11 @@ class TestExitCodes:
             (["compare", "--budget", "-1e3"], "argument --budget: expected a value > 0, got '-1e3'"),
             (["sweep", "--from", "-1_0", "--to", "10", "--steps", "3"], "argument --from: invalid float value: '-1_0'"),
             (["evaluate", "--arch", "wired", "--devices", "-1e3"], "argument --devices: expected an integer, got '-1e3'"),
+            # So is a negative non-finite number, in any case.
+            (["compare", "--budget", "-inf"], "argument --budget: expected a finite number, got '-inf'"),
+            (["compare", "--budget", "-Infinity"], "argument --budget: expected a finite number, got '-Infinity'"),
+            (["compare", "--budget", "-NaN"], "argument --budget: expected a finite number, got '-NaN'"),
+            (["evaluate", "--arch", "wired", "--devices", "-inf"], "argument --devices: expected an integer, got '-inf'"),
         ],
     )
     def test_rejected_command_line_number(self, capsys, argv, message):
@@ -617,6 +622,14 @@ class TestExitCodes:
              "config invalid: load.v_rx: must be > 0, got -1000.0"),
             (["sweep", "--param", "load.v_rx", "--from", "-1000", "--to", "2", "--steps", "3"], EXIT_INVALID_CONFIG,
              "config invalid: load.v_rx: must be > 0, got -1000.0"),
+            (["sweep", "--param", "load.v_rx", "--from", "-inf", "--to", "2", "--steps", "3"], EXIT_BAD_INVOCATION,
+             "bounds for 'load.v_rx' must be finite, got [-inf, 2.0]"),
+            (["sweep", "--param", "load.v_rx", "--from", "-nan", "--to", "2", "--steps", "3"], EXIT_BAD_INVOCATION,
+             "bounds for 'load.v_rx' must be finite, got [nan, 2.0]"),
+            (["optimize", "--arch", "hv_wired", "--free", "v_rx_hv", "-inf", "2"], EXIT_BAD_INVOCATION,
+             "bounds for 'v_rx_hv' must be finite, got [-inf, 2.0]"),
+            (["optimize", "--arch", "hv_wired", "--free", "v_rx_hv", "-INF", "2"], EXIT_BAD_INVOCATION,
+             "bounds for 'v_rx_hv' must be finite, got [-inf, 2.0]"),
         ],
     )
     def test_command_line_bound_reaches_its_check(self, capsys, argv, code, message):

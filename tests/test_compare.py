@@ -174,6 +174,30 @@ class TestSweepCollectorPause:
             gc.set_threshold(*threshold)
         assert started == []
 
+    def test_held_back_collection_runs_before_the_sweep_returns(self):
+        # The result record is the first tracked allocation after the pause,
+        # so the collection the pause held back starts inside sweep_loss.
+        gc.enable()
+        cfg = default_config()
+        sweep_loss(cfg, range(1, 1001))
+        inside = []
+
+        def started(phase, info):
+            if phase == "start":
+                frame = sys._getframe(1)
+                while frame is not None and frame.f_code is not sweep_loss.__code__:
+                    frame = frame.f_back
+                inside.append(frame is not None)
+
+        gc.callbacks.append(started)
+        try:
+            sweep_loss(cfg, range(1, 1001))
+            young = gc.get_count()[0]  # read before get_count allocates its result
+        finally:
+            gc.callbacks.remove(started)
+        assert inside and inside[-1], inside
+        assert young < gc.get_threshold()[0]
+
     def test_loop_of_sweeps_frees_cycles_that_outlive_a_sweep(self):
         gc.enable()
         cfg = default_config()

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cryopower import compare
+from cryopower import compare, thermal
 from cryopower.compare import (
     ArchitectureEvaluation,
     OptimizationResult,
@@ -254,6 +254,24 @@ def test_cell_evaluator_matches_heat_rows(cfg, arch, couple, data):
             for n in wires + [None]:
                 want = outcome(lambda: _heat_rows(arch, cfg, (p,), v, n, couple)[0][-1])
                 assert outcome(cell, v, n) == want, (p, v, n)
+
+
+def test_cell_builds_no_record(monkeypatch):
+    # A probe computes on floats: no coefficient record, no _stage_heat tuple.
+    cfg = default_config()
+    cfg = replace(cfg, converter=replace(cfg.converter, attach_hv_nonradiative=True))
+    v_out, p = cfg.converter.v_out, cfg.load.delivered_power
+    cells = [(_cell_cooling(arch, cfg, p, couple), arch) for arch in ARCHITECTURES for couple in (True, False)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a probe built a record")
+
+    monkeypatch.setattr(thermal, "_coefficients", forbidden)
+    monkeypatch.setattr(thermal, "_stage_heat", forbidden)
+    for cell, arch in cells:
+        for v in (None, 2.0 * v_out, v_out, 0.5 * v_out):  # a tracking stage above, at and below v_out
+            for n in (None, 3):
+                assert math.isfinite(cell(v, n)), (arch, v, n)
 
 
 @given(system_configs(), st.sampled_from(ARCHITECTURES), st.booleans(), st.data())
