@@ -33,9 +33,9 @@ from .compare import (
     scorecard,
 )
 from .configio import ConfigError, _plain_number, parse_config, serialize_config, set_value
-from .model import _FIELD_KINDS, ARCHITECTURES, ArchitectureKind, SystemConfig, default_config, validate
+from .model import _FIELD_KINDS, ARCHITECTURES, ArchitectureKind, SystemConfig, _is_finite, default_config, validate
 from .noise import white_floor_ratio
-from .thermal import _heat_rows
+from .thermal import _heat_cell
 
 EXIT_OK = 0
 EXIT_INVALID_CONFIG = 1
@@ -288,6 +288,8 @@ def _sweep_values(param: str, start: float, stop: float, steps: int):
     kind = _FIELD_KINDS[path]
     if kind not in ("a number", "an integer"):
         raise CliError(f"sweep parameter must be numeric: {param!r}", EXIT_BAD_INVOCATION)
+    if not _is_finite(steps):  # an integer past float range
+        raise CliError(f"--steps must be finite, got {steps!r}", EXIT_BAD_INVOCATION)
     raw = _linspace(start, stop, steps)
     if not all(map(math.isfinite, raw)):
         # stop - start overflows, so the grid's first element is 0 * inf + start
@@ -318,7 +320,7 @@ _SWEEP_CSV_COLUMNS = ("value", "architecture", "transmission_loss_w", "q_total_w
 
 
 def _sweep_rows(config: SystemConfig, path: str, values: list[Any]) -> list[tuple]:
-    # Python floats from one coefficient record per architecture and point: no NumPy, no result objects.
+    # Python floats from one cell evaluator per architecture and point: no NumPy, no result objects.
     if path == "load.device_count":
         points = zip(*_sweep_cells(config, values))
     else:
@@ -326,7 +328,7 @@ def _sweep_rows(config: SystemConfig, path: str, values: list[Any]) -> list[tupl
         for value in values:
             point = set_value(config, path, value)
             _require_valid(point)  # implies every check the scalar path makes
-            points.append([_heat_rows(arch, point, (point.load.delivered_power,))[0] for arch in ARCHITECTURES])
+            points.append([_heat_cell(arch, point)(point.load.delivered_power) for arch in ARCHITECTURES])
     rows = []
     for value, cells in zip(values, points):
         for label, (transmission, converter, cold, _, q_total, _, cooling) in zip(ARCH_LABELS, cells):
@@ -367,13 +369,13 @@ def _run_compare(args: argparse.Namespace) -> str:
     if devices < 1:
         raise CliError(f"compare needs a device count >= 1, got {devices}", EXIT_BAD_INVOCATION)
     budget = args.budget
-    report = scorecard(config, devices)
-    counts = None
-    if budget is not None:
-        try:
+    try:
+        report = scorecard(config, devices)
+        counts = None
+        if budget is not None:
             counts = {arch: devices_under_budget(arch, config, budget) for arch in ARCHITECTURES}
-        except ValueError as exc:
-            raise CliError(str(exc), EXIT_BAD_INVOCATION) from exc
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_BAD_INVOCATION) from exc
     rows = []
     for row in report.rows:
         entry: dict[str, Any] = {

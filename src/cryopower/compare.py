@@ -18,9 +18,9 @@ from itertools import repeat
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .losses import LossBreakdown, _coefficients, architecture_loss_at, carries_converter
-from .model import ARCHITECTURES, ArchitectureKind, SystemConfig, _dataclass_compatible
+from .model import ARCHITECTURES, ArchitectureKind, SystemConfig, _dataclass_compatible, _is_finite
 from .noise import white_floor_ratio
-from .thermal import ThermalBudget, _cell_cooling, _heat_grid, _heat_rows, budget_from_loss, heat_budget
+from .thermal import ThermalBudget, _heat_cell, _heat_grid, budget_from_loss, heat_budget
 
 # Relative slack absorbing last-ulp rounding when an operating point lands
 # exactly on the budget boundary. The solvers cap it at half of what one
@@ -126,7 +126,7 @@ def _device_axis(config: SystemConfig, device_counts: Sequence[int]) -> list[int
     count also runs through :func:`evaluate_architecture` and an invalid
     config raises the single-point path's error.
     """
-    if not device_counts:
+    if len(device_counts) == 0:  # a NumPy axis has no truth value
         raise ValueError("device_counts must be nonempty")
     for prev, cur in zip(device_counts, list(device_counts)[1:]):
         if cur <= prev:
@@ -140,6 +140,8 @@ def _device_axis(config: SystemConfig, device_counts: Sequence[int]) -> list[int
     if counts != list(device_counts):
         bad = next(count for count in device_counts if not _is_whole(count))
         raise ValueError(f"device counts must be whole numbers, got {bad}")
+    if not _is_finite(counts[-1]):  # an int past float range
+        raise ValueError(f"device counts must be finite, got {counts[-1]}")
     first = _with_device_count(config, counts[0])
     for arch in ARCHITECTURES:
         evaluate_architecture(arch, first)
@@ -233,7 +235,7 @@ def _sweep_cells(config: SystemConfig, device_counts: Sequence[int]) -> list[lis
     """
     counts = _device_axis(config, device_counts)
     p_rx = [config.load.power_per_device * count for count in counts]
-    return [_heat_rows(arch, config, p_rx) for arch in ARCHITECTURES]
+    return [list(map(_heat_cell(arch, config), p_rx)) for arch in ARCHITECTURES]
 
 
 def _last_fitting(fits: Callable[[int], bool], lo: int, hi: int) -> int:
@@ -301,7 +303,7 @@ def devices_under_budget(
     when its cost is within a slack of the budget that absorbs rounding:
     ``1e-12`` of the budget, capped at half the cost of one more device there.
     """
-    if not math.isfinite(total_budget):
+    if not _is_finite(total_budget):
         raise ValueError(f"total_budget must be finite, got {total_budget!r}")
     if total_budget <= 0:
         raise ValueError(f"total_budget must be > 0, got {total_budget!r}")
@@ -397,6 +399,8 @@ def scorecard(
         raise ValueError(f"operating_device_count must be >= 1, got {operating_device_count!r}")
     if not _is_whole(operating_device_count):
         raise ValueError(f"operating_device_count must be a whole number, got {operating_device_count!r}")
+    if not _is_finite(operating_device_count):  # an int past float range
+        raise ValueError(f"operating_device_count must be finite, got {operating_device_count!r}")
     table = _bundled_score_table() if score_table is None else score_table
     _check_score_table(table)
     point_config = _with_device_count(config, operating_device_count)
@@ -521,7 +525,6 @@ def _kernel_trace(
     n_grid: list,
     couple_converter_input: bool,
     map_fn: Callable[..., Iterable],
-    cell: Callable[[float | None, int | None], float],
 ) -> tuple[list, int | None]:
     """The grid's strict improvements over the running minimum (v-major) and the last one's v index.
 
@@ -529,7 +532,7 @@ def _kernel_trace(
     ``_KERNEL_BLOCK_CELLS`` cells with the ``v_rx_hv`` axis (an array, one
     rail or ``[None]``) as a column and the wire counts as a row, mapped by
     ``map_fn``. NaN cells never improve, as ``value < best`` skips them.
-    Where a cell divides by zero, ``cell`` scans the grid instead.
+    Where a cell divides by zero, :func:`_cell_trace` scans the grid instead.
     """
     import numpy as np  # loaded on first grid call, off the CLI cold path
 
@@ -549,7 +552,8 @@ def _kernel_trace(
     except FloatingPointError:
         # A cell divides by zero: the single-point path raises there too, or
         # the division sits in a converter branch that it never takes.
-        return _cell_trace(cell, [None] if v_axis is None else v_axis.tolist(), n_grid)
+        fields = _heat_cell(arch, config, couple_converter_input)
+        return _cell_trace(fields, p_rx, [None] if v_axis is None else v_axis.tolist(), n_grid)
     running = np.fmin.accumulate(np.concatenate(([math.inf], values)))[:-1]
     improved = np.flatnonzero(values < running)
     v_index, n_index = np.divmod(improved, len(n_grid))
@@ -558,10 +562,8 @@ def _kernel_trace(
     return list(zip(params, values[improved].tolist())), int(v_index[-1]) if improved.size else None
 
 
-def _cell_trace(
-    cell: Callable[[float | None, int | None], float], v_grid: list, n_grid: list
-) -> tuple[list, int | None]:
-    """:func:`_kernel_trace` on Python floats, one ``cell(v, n)`` at a time, without NumPy.
+def _cell_trace(fields: Callable[..., tuple], p_rx: float, v_grid: list, n_grid: list) -> tuple[list, int | None]:
+    """:func:`_kernel_trace` on Python floats, one ``fields(p_rx, v, n)`` cell at a time, without NumPy.
 
     Each cell is bit-identical to the kernel's, and the kernel falls back to
     this where a cell divides by zero; such a cell raises
@@ -571,7 +573,7 @@ def _cell_trace(
     best, best_index = math.inf, None
     for index, v in enumerate(v_grid):
         for n in n_grid:
-            value = cell(v, n)
+            value = fields(p_rx, v, n)[-1]
             if value < best:
                 trace.append((_free_params(v, n), value))
                 best, best_index = value, index
@@ -602,13 +604,11 @@ def optimize(
     maps those calls over the blocks; its ``v_rx_hv`` axis comes from
     ``numpy.linspace``, which :func:`_linspace` equals bit for bit. A smaller
     grid is scanned on Python floats, one cell at a time, without loading
-    NumPy, and so is each golden-section probe. Both read one cell evaluator
-    (:func:`cryopower.thermal._cell_cooling`) built per call, which works out
-    once what ``v_rx_hv`` and ``wire_count`` do not move (link, resistance,
-    COP, leak and electronics); a cell computes the rail or link term, the
-    converter term and the heat sum on floats, without building a coefficient
-    record. Every value is bit-identical to the single-point path
-    (:func:`resolve_parameters` and :func:`cryopower.thermal.heat_budget`);
+    NumPy, and so is each golden-section probe. Both read the one cell
+    evaluator :func:`cryopower.thermal._heat_cell`: the kernel on arrays, the
+    scan and the probes on floats. Every value is bit-identical to the
+    single-point path (:func:`resolve_parameters` and
+    :func:`cryopower.thermal.heat_budget`);
     the first grid cell still runs through it, so an invalid config raises
     the same error.
     """
@@ -623,7 +623,7 @@ def optimize(
             raise ValueError(
                 f"unknown free parameter {name!r} (expected one of {FREE_PARAMETER_NAMES})"
             )
-        if not (math.isfinite(lo) and math.isfinite(hi)):
+        if not (_is_finite(lo) and _is_finite(hi)):
             raise ValueError(f"bounds for {name!r} must be finite, got [{lo!r}, {hi!r}]")
         if lo > hi:
             raise ValueError(f"inverted bounds for {name!r}: [{lo!r}, {hi!r}]")
@@ -666,11 +666,11 @@ def optimize(
 
     # The grid evaluators skip input checks; the single-point path raises them here.
     heat_budget(arch, resolve_parameters(config, arch, _free_params(v_grid[0], n_grid[0]), couple_converter_input))
-    cell = _cell_cooling(arch, config, config.load.delivered_power, couple_converter_input)
+    fields, p_rx = _heat_cell(arch, config, couple_converter_input), config.load.delivered_power
     if evaluations <= _PYTHON_GRID_CELLS:
-        trace, index = _cell_trace(cell, v_grid, n_grid)
+        trace, index = _cell_trace(fields, p_rx, v_grid, n_grid)
     else:
-        trace, index = _kernel_trace(config, arch, v_grid, n_grid, couple_converter_input, map_fn, cell)
+        trace, index = _kernel_trace(config, arch, v_grid, n_grid, couple_converter_input, map_fn)
     if not trace:
         raise ValueError(f"{arch.label}: every grid cell's cooling power is inf or NaN")
     best_params, best_value = dict(trace[-1][0]), trace[-1][1]
@@ -679,7 +679,7 @@ def optimize(
         lo = float(v_grid[max(0, index - 1)])
         hi = float(v_grid[min(len(v_grid) - 1, index + 1)])
         fixed_n = best_params.get("wire_count")
-        x, fx, probes = _golden_refine(lambda v: cell(v, fixed_n), lo, hi, 1e-10 * max(1.0, abs(hi)))
+        x, fx, probes = _golden_refine(lambda v: fields(p_rx, v, fixed_n)[-1], lo, hi, 1e-10 * max(1.0, abs(hi)))
         evaluations += probes
         refined = _free_params(float(x), fixed_n)
         if fx < best_value or (fx == best_value and x < best_params["v_rx_hv"]):

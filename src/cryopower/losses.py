@@ -8,7 +8,7 @@ outside the refrigerator and never load the cold stage.
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 from .model import ArchitectureKind, ConverterSpec, SystemConfig, _dataclass_compatible
 
@@ -128,15 +128,14 @@ class _Coefficients(NamedTuple):
     A wireless link loses ``p * linear``, an I^2 R rail (``rail`` is None for
     a link) ``(p/rail)^2 * resistance / wires`` and the cold converter
     ``p * converter`` (None without a stage); the cold stage takes
-    ``transmission * cold_fraction + converter``. Fields are floats, or arrays
-    over the axes given to :func:`_coefficients`.
+    ``transmission * cold_fraction + converter``.
     """
 
     linear: float
-    rail: Any
+    rail: float | None
     resistance: float
-    wires: Any
-    converter: Any
+    wires: int
+    converter: float | None
     cold_fraction: float
 
     @property
@@ -170,47 +169,23 @@ def _link_terms(arch: ArchitectureKind, config: SystemConfig, check: bool = True
 
 
 def _coefficients(
-    arch: ArchitectureKind,
-    config: SystemConfig,
-    v_rx_hv=None,
-    wire_count=None,
-    couple_converter_input: bool = True,
-    check: bool = True,
+    arch: ArchitectureKind, config: SystemConfig, wire_count: int | None = None, check: bool = True
 ) -> _Coefficients:
-    """The loss coefficients of ``arch``, from the rail, link and converter flag it declares.
+    """The loss coefficients of ``arch`` at the configured point, from the rail, link and converter flag it declares.
 
-    ``v_rx_hv`` and ``wire_count`` (floats or arrays that broadcast together)
-    replace the configured values. With coupling on, a given ``v_rx_hv`` sets
-    the converter as ``compare.resolve_parameters`` does: its input tracks the
-    rail, and the stage drops where the rail is at or below ``v_out`` (a float
-    rail then gives no stage, an array rail a 0.0 coefficient there). With
+    ``wire_count``, when given, replaces the configured count. With
     ``check``, the architecture's inputs are checked as its leaf functions
-    check them, after the resistance mode. The grid kernel passes
-    ``check=False``; its callers run one point through the scalar path first.
+    check them, after the resistance mode. Grids do not read the record:
+    :func:`cryopower.thermal._heat_cell` evaluates them.
     """
     linear, r_wire, cold_fraction, staged = _link_terms(arch, config, check)
-    conv = config.converter
     n = config.wire.wire_count if wire_count is None else wire_count
     rail = arch._rail  # the LoadSpec field name, then its voltage
     if rail is not None:
-        rail = getattr(config.load, rail) if v_rx_hv is None or rail == "v_rx" else v_rx_hv
+        rail = getattr(config.load, rail)
         if check:
             _check_rail(rail, r_wire, n)
-
-    converter = None
-    if staged:
-        if v_rx_hv is None or not couple_converter_input:
-            converter = 1.0 / dcdc_efficiency(conv) - 1.0
-        elif isinstance(v_rx_hv, float):  # one rail: a carried stage, or none
-            if v_rx_hv > conv.v_out:
-                converter = 1.0 / _buck_efficiency(conv, v_rx_hv, conv.v_out / v_rx_hv) - 1.0
-        else:
-            import numpy as np  # only array grids reach here
-
-            carried = v_rx_hv > conv.v_out
-            if np.any(carried):  # as in resolve_parameters, only a carried stage checks its spec
-                eta = _buck_efficiency(conv, v_rx_hv, conv.v_out / v_rx_hv)
-                converter = np.where(carried, 1.0 / eta - 1.0, 0.0)
+    converter = 1.0 / dcdc_efficiency(config.converter) - 1.0 if staged else None
     return _Coefficients(linear, rail, r_wire, n, converter, cold_fraction)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .losses import LossBreakdown, _buck_efficiency, _coefficients, _link_terms, architecture_loss_at, dcdc_efficiency
+from .losses import LossBreakdown, _buck_efficiency, _link_terms, architecture_loss_at, dcdc_efficiency
 from .model import ArchitectureKind, SystemConfig, _dataclass_compatible
 
 
@@ -54,26 +54,13 @@ def _stage_terms(arch: ArchitectureKind, config: SystemConfig) -> tuple:
     return per_wire, stage.q_ambient_leak, stage.q_electronics, cop
 
 
-def _conduction(terms: tuple, wire_count):
-    """Wire conduction load at ``wire_count`` from :func:`_stage_terms`: 0.0 over a link."""
-    return 0.0 if terms[0] is None else terms[0] * wire_count
-
-
-def _stage_heat(terms: tuple, losses: tuple, p_load) -> tuple:
-    """The :class:`_HeatGrid` fields from a loss triple, the conduction load and :func:`_stage_terms`."""
-    transmission, converter, cold = losses
-    _, leak, electronics, cop = terms
-    q_total = p_load + cold + leak + electronics
-    return transmission, converter, cold, p_load, q_total, cop, q_total / cop
-
-
 def budget_from_loss(config: SystemConfig, breakdown: LossBreakdown) -> ThermalBudget:
     """Heat budget around an already computed loss breakdown of ``config``."""
-    arch = breakdown.architecture
-    terms = _stage_terms(arch, config)
-    p_load = _conduction(terms, config.wire.wire_count)
-    _, _, cold, _, q_total, cop, cooling = _stage_heat(terms, breakdown[2:], p_load)
-    return ThermalBudget(arch, p_load, cold, terms[1], terms[2], q_total, cop, cooling)
+    arch, cold = breakdown.architecture, breakdown.loss_at_cold_stage
+    per_wire, leak, electronics, cop = _stage_terms(arch, config)
+    p_load = 0.0 if per_wire is None else per_wire * config.wire.wire_count
+    q_total = p_load + cold + leak + electronics
+    return ThermalBudget(arch, p_load, cold, leak, electronics, q_total, cop, q_total / cop)
 
 
 def heat_budget_at(arch: ArchitectureKind, config: SystemConfig, p_rx: float) -> ThermalBudget:
@@ -113,55 +100,36 @@ def _heat_grid(
     """The fields of :func:`heat_budget_at` over a broadcast grid, in one pass.
 
     ``p_rx``, ``v_rx_hv`` and ``wire_count`` are floats or NumPy arrays that
-    broadcast together; this is :func:`_heat_rows` with ``p_rx`` as its one
-    power, under NumPy's floating-point error checks. Where a cell divides a
-    nonzero value by zero (the scalar path raises ``ZeroDivisionError``
-    there, unless the division sits in a converter branch it never takes),
-    the kernel raises ``FloatingPointError``.
+    broadcast together; this is one :func:`_heat_cell` call under NumPy's
+    floating-point error checks. Where a cell divides a nonzero value by zero
+    (the scalar path raises ``ZeroDivisionError`` there, unless the division
+    sits in a converter branch it never takes), the kernel raises
+    ``FloatingPointError``.
     """
     import numpy as np  # loaded on first grid call, off the CLI cold path
 
     with np.errstate(divide="raise", over="ignore", under="ignore", invalid="ignore"):
-        return _HeatGrid(*_heat_rows(arch, config, (p_rx,), v_rx_hv, wire_count, couple_converter_input)[0])
+        return _HeatGrid(*_heat_cell(arch, config, couple_converter_input)(p_rx, v_rx_hv, wire_count))
 
 
-def _heat_rows(
-    arch: ArchitectureKind,
-    config: SystemConfig,
-    p_rx,
-    v_rx_hv=None,
-    wire_count=None,
-    couple_converter_input: bool = True,
-) -> list[tuple]:
-    """The fields of :func:`heat_budget_at` at each power of ``p_rx``: one :class:`_HeatGrid` tuple per power.
+def _heat_cell(
+    arch: ArchitectureKind, config: SystemConfig, couple_converter_input: bool = True
+) -> Callable[..., tuple]:
+    """The grid evaluator of ``arch``: ``fields(p_rx, v_rx_hv=None, wire_count=None)``.
 
-    ``p_rx`` is a sequence of delivered powers. ``v_rx_hv``, ``wire_count``
-    and each power are floats, or NumPy arrays that broadcast together;
-    ``None`` keeps the configured value. The loss comes from the coefficient
-    record the scalar path reads, built once, in the same operation order, so
-    every value is bit-identical to the scalar path at that point. Inputs are
-    not checked (see :func:`cryopower.losses._coefficients`); where a float
-    cell divides by zero this raises ``ZeroDivisionError``, as the scalar
-    path does.
-    """
-    coefficients = _coefficients(arch, config, v_rx_hv, wire_count, couple_converter_input, check=False)
-    terms = _stage_terms(arch, config)
-    p_load = _conduction(terms, coefficients.wires)
-    return [_stage_heat(terms, coefficients.losses(p), p_load) for p in p_rx]
-
-
-def _cell_cooling(
-    arch: ArchitectureKind, config: SystemConfig, p_rx: float, couple_converter_input: bool = True
-) -> Callable[[float | None, int | None], float]:
-    """``_heat_rows(arch, config, (p_rx,), v, n, couple)[0][-1]`` as a function ``cooling(v, n)``.
-
-    For a float rail ``v`` (or None) and an integer wire count ``n`` (or
-    None). What neither moves (the link, resistance, COP, leak and
-    electronics) is worked out once; a call computes the rail or link term,
-    the converter term and the heat sum on floats, with the operations and
-    order of :func:`cryopower.losses._coefficients`, ``_Coefficients.losses``
-    and :func:`_stage_heat`, and builds no record. So every value and every
-    error is that of :func:`_heat_rows`, raised at the call.
+    A call returns the seven :class:`_HeatGrid` fields, those of
+    :func:`heat_budget_at` at that point. Its inputs are floats, or NumPy
+    arrays that broadcast together; ``None`` keeps the configured rail or
+    wire count. With coupling on, a given ``v_rx_hv`` sets the converter as
+    :func:`cryopower.compare.resolve_parameters` does: its input tracks the
+    rail, and the stage drops where the rail is at or below ``v_out`` (a
+    float rail then carries no stage, an array rail a 0.0 coefficient
+    there). What no input moves (the link, resistance, COP, leak and
+    electronics) is worked out once; a call computes the rest in the
+    operation order of the scalar path, so every value is bit-identical to
+    it. Inputs are not checked; a float cell raises the scalar path's
+    exception, such as ``ZeroDivisionError``, at the call. A float rail, or
+    none, never loads NumPy.
     """
     linear, r_wire, cold_fraction, staged = _link_terms(arch, config, check=False)
     per_wire, leak, electronics, cop = _stage_terms(arch, config)
@@ -169,20 +137,30 @@ def _cell_cooling(
     rail = None if arch._rail is None else getattr(config.load, arch._rail)
     moves_rail = arch._rail != "v_rx"
 
-    def cooling(v_rx_hv: float | None, wire_count: int | None) -> float:
+    def fields(p_rx, v_rx_hv=None, wire_count=None) -> tuple:
         n = wires if wire_count is None else wire_count
         converter = 0.0
         if staged:
             if v_rx_hv is None or not couple_converter_input:
                 converter = p_rx * (1.0 / dcdc_efficiency(conv) - 1.0)
-            elif v_rx_hv > v_out:
-                converter = p_rx * (1.0 / _buck_efficiency(conv, v_rx_hv, v_out / v_rx_hv) - 1.0)
+            elif isinstance(v_rx_hv, float):  # one rail: a carried stage, or none
+                if v_rx_hv > v_out:
+                    converter = p_rx * (1.0 / _buck_efficiency(conv, v_rx_hv, v_out / v_rx_hv) - 1.0)
+            else:
+                import numpy as np  # only array grids reach here
+
+                carried = v_rx_hv > v_out
+                if np.any(carried):  # as in resolve_parameters, only a carried stage checks its spec
+                    eta = _buck_efficiency(conv, v_rx_hv, v_out / v_rx_hv)
+                    converter = p_rx * np.where(carried, 1.0 / eta - 1.0, 0.0)
         if rail is None:
             transmission = p_rx * linear
         else:
             v = v_rx_hv if moves_rail and v_rx_hv is not None else rail
             transmission = (p_rx * p_rx) / (v * v) * r_wire / n
+        cold = transmission * cold_fraction + converter
         p_load = 0.0 if per_wire is None else per_wire * n
-        return (p_load + (transmission * cold_fraction + converter) + leak + electronics) / cop
+        q_total = p_load + cold + leak + electronics
+        return transmission, converter, cold, p_load, q_total, cop, q_total / cop
 
-    return cooling
+    return fields

@@ -630,6 +630,15 @@ class TestExitCodes:
              "bounds for 'v_rx_hv' must be finite, got [-inf, 2.0]"),
             (["optimize", "--arch", "hv_wired", "--free", "v_rx_hv", "-INF", "2"], EXIT_BAD_INVOCATION,
              "bounds for 'v_rx_hv' must be finite, got [-inf, 2.0]"),
+            # An integer past float range is not finite either.
+            pytest.param(["compare", "--devices", str(10**400)], EXIT_BAD_INVOCATION,
+                         f"operating_device_count must be finite, got {10**400}",
+                         id="compare_devices_past_float_range"),
+            pytest.param(["sweep", "--from", "1", "--to", "5", "--steps", str(10**400)], EXIT_BAD_INVOCATION,
+                         f"--steps must be finite, got {10**400}", id="device_sweep_steps_past_float_range"),
+            pytest.param(["sweep", "--param", "converter.f_sw", "--from", "1", "--to", "5", "--steps", str(10**400)],
+                         EXIT_BAD_INVOCATION, f"--steps must be finite, got {10**400}",
+                         id="parameter_sweep_steps_past_float_range"),
         ],
     )
     def test_command_line_bound_reaches_its_check(self, capsys, argv, code, message):

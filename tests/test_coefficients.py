@@ -1,11 +1,13 @@
-"""Differential test: the loss coefficient record against the public leaf formulas.
+"""Differential test: the scalar path and the grid evaluator against the public leaf formulas.
 
-``losses._coefficients`` is the one per-architecture dispatch; the scalar
-path (``architecture_loss_at``/``heat_budget_at``) and the grid kernel
-(``thermal._heat_grid``) both read it. The leaf functions (``wired_loss``,
-``radiative_loss``, ``converter_loss``, ``carnot_cop``, ...) do not, so they
-are the independent reference here. ``resolve_parameters`` applies the
-converter coupling to the config the leaf functions read.
+The scalar path (``architecture_loss_at``/``heat_budget_at``) reads the
+coefficient record ``losses._coefficients`` of the configured point; every
+grid reads the cell evaluator ``thermal._heat_cell``, here through the
+kernel ``thermal._heat_grid``, which also lets the converter input track a
+varied rail. The leaf functions (``wired_loss``, ``radiative_loss``,
+``converter_loss``, ``carnot_cop``, ...) read neither, so they are the
+independent reference here. ``resolve_parameters`` applies the converter
+coupling to the config the leaf functions read.
 """
 
 import math
@@ -35,8 +37,8 @@ A = ArchitectureKind
 # Written out, as the converter rule below is, rather than read from the code under test.
 WIRELESS = (A.RADIATIVE, A.NON_RADIATIVE, A.HV_NON_RADIATIVE)
 
-# The record evaluates every term in its leaf function's operation order, so
-# every value is compared by float.hex, subnormal powers included. Powers are
+# The record and the cell evaluate every term in its leaf function's operation
+# order, so every value is compared by float.hex, subnormal powers included. Powers are
 # drawn >= +0.0: at p = -0.0 a grid cell whose tracking converter dropped
 # reads -0.0 * 0 = -0.0 where the scalar path, with no stage, reads 0.0.
 powers = st.floats(0.0, 100.0)

@@ -76,8 +76,9 @@ class TestSweepLoss:
             assert [e.architecture for e in point.evaluations] == list(ARCHITECTURES)
 
     def test_rejects_empty_and_unordered(self):
-        with pytest.raises(ValueError):
-            sweep_loss(default_config(), [])
+        for empty in ([], np.arange(0)):  # a NumPy axis has no truth value
+            with pytest.raises(ValueError, match="^device_counts must be nonempty$"):
+                sweep_loss(default_config(), empty)
         with pytest.raises(ValueError):
             sweep_loss(default_config(), [10, 10])
         with pytest.raises(ValueError):
@@ -104,6 +105,16 @@ class TestSweepLoss:
         values = [point.value for point in sweep_loss(default_config(), [1.0, 2.0]).points]
         assert values == [1, 2]
         assert all(type(value) is int for value in values)
+
+    def test_numpy_axis_equals_range(self):
+        result = sweep_loss(default_config(), np.arange(1, 1001))
+        assert result == sweep_loss(default_config(), range(1, 1001))
+        assert all(type(point.value) is int for point in result.points)
+
+    @pytest.mark.parametrize("sweep", [sweep_loss, compare._sweep_cells])
+    def test_rejects_count_past_float_range(self, sweep):
+        with pytest.raises(ValueError, match=f"^device counts must be finite, got {10**400}$"):
+            sweep(default_config(), [1, 10**400])
 
 
 def _set_collector(enabled: bool) -> None:
@@ -447,7 +458,9 @@ class TestDevicesUnderBudget:
             devices_under_budget(A.WIRED, cfg, 1.0, method="sorcery")
 
     @pytest.mark.parametrize("method", ["closed_form", "bisection"])
-    @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "budget", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="int_past_float_range")]
+    )
     def test_non_finite_budget_rejected_by_both_methods(self, method, budget):
         with pytest.raises(ValueError, match=re.escape(f"total_budget must be finite, got {budget!r}")):
             devices_under_budget(A.WIRED, default_config(), budget, method)
@@ -609,6 +622,10 @@ class TestScorecard:
     def test_non_whole_device_count_rejected(self, count):
         with pytest.raises(ValueError, match=re.escape(f"must be a whole number, got {count!r}")):
             scorecard(default_config(), count)
+
+    def test_device_count_past_float_range_rejected(self):
+        with pytest.raises(ValueError, match=f"^operating_device_count must be finite, got {10**400}$"):
+            scorecard(default_config(), 10**400)
 
     def test_integral_float_count_kept_as_given(self):
         report = scorecard(default_config(), 200.0)
@@ -796,6 +813,14 @@ class TestOptimize:
         # Sampled wire counts are rounded in float64 and cast to int64.
         with pytest.raises(ValueError, match=f"wire_count upper bound .*{re.escape(repr(hi))}"):
             optimize(default_config(), {"wire_count": (1, hi)}, A.WIRED, resolution=50)
+
+    @pytest.mark.parametrize(
+        "name, arch, bounds", [("v_rx_hv", A.HV_WIRED, (2, 10**400)), ("wire_count", A.WIRED, (1, 10**400))]
+    )
+    def test_bound_past_float_range_rejected(self, name, arch, bounds):
+        message = re.escape(f"bounds for {name!r} must be finite, got [{bounds[0]}, {10**400}]")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            optimize(default_config(), {name: bounds}, arch)
 
     def test_largest_sampleable_wire_count_bound(self):
         top = 2.0**63 - 1024  # the float below 2**63

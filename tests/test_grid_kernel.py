@@ -1,11 +1,11 @@
-"""Differential tests: both grid evaluators against the single-point scalar path, bit for bit.
+"""Differential tests: the one grid evaluator against the single-point scalar path, bit for bit.
 
-``sweep_loss`` and the grids of ``optimize`` with more than
-``compare._PYTHON_GRID_CELLS`` cells go through the NumPy kernel
-``thermal._heat_grid``, which is ``thermal._heat_rows`` under NumPy's error
-checks; the CLI's device sweep (``compare._sweep_cells``) calls
-``_heat_rows`` on Python floats, and smaller ``optimize`` grids
-(``compare._cell_trace``) read ``thermal._cell_cooling``. The scalar
+Every grid reads ``thermal._heat_cell``. ``sweep_loss`` and the grids of
+``optimize`` with more than ``compare._PYTHON_GRID_CELLS`` cells call it on
+NumPy arrays through the kernel ``thermal._heat_grid``, which adds NumPy's
+error checks; the CLI's sweeps (``compare._sweep_cells``), smaller
+``optimize`` grids (``compare._cell_trace``) and every golden-section probe
+call it on Python floats. The scalar
 ``resolve_parameters`` + ``heat_budget``/``architecture_loss_at`` path stays
 as the reference. Floats
 are compared by ``float.hex`` so that 0.0 and -0.0 count. ``system_configs()``
@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cryopower import compare, thermal
+from cryopower import compare, losses, thermal
 from cryopower.compare import (
     ArchitectureEvaluation,
     OptimizationResult,
@@ -38,7 +38,7 @@ from cryopower.compare import (
 )
 from cryopower.losses import architecture_loss_at, carries_converter
 from cryopower.model import ARCHITECTURES, ArchitectureKind, default_config
-from cryopower.thermal import _cell_cooling, _HeatGrid, _heat_grid, _heat_rows, heat_budget, heat_budget_at
+from cryopower.thermal import _HeatGrid, _heat_cell, _heat_grid, heat_budget, heat_budget_at
 
 from strategies import finite, system_configs
 
@@ -150,14 +150,11 @@ def grid_axes(draw, cfg):
     return cfg, powers, volts, wires
 
 
-def scalar_cell(cfg, arch, p, v, n, couple):
-    """The grid fields at one cell from the single-point path, or ``ZeroDivisionError`` where it raises."""
-    point = resolve_parameters(cfg, arch, {"v_rx_hv": v, "wire_count": n}, couple)
-    try:
-        loss = architecture_loss_at(arch, point, p)
-        budget = heat_budget_at(arch, point, p)
-    except ZeroDivisionError:
-        return ZeroDivisionError
+def scalar_fields(cfg, arch, p, v, n, couple):
+    """The grid fields at one cell from the single-point path; ``None`` keeps the configured rail or count."""
+    point = resolve_parameters(cfg, arch, _params_for(v, n), couple)
+    loss = architecture_loss_at(arch, point, p)
+    budget = heat_budget_at(arch, point, p)
     return _HeatGrid(
         loss.transmission_loss,
         loss.converter_loss,
@@ -167,6 +164,14 @@ def scalar_cell(cfg, arch, p, v, n, couple):
         budget.cop,
         budget.cooling_power,
     )
+
+
+def scalar_cell(cfg, arch, p, v, n, couple):
+    """:func:`scalar_fields`, or ``ZeroDivisionError`` where it raises."""
+    try:
+        return scalar_fields(cfg, arch, p, v, n, couple)
+    except ZeroDivisionError:
+        return ZeroDivisionError
 
 
 @st.composite
@@ -220,20 +225,6 @@ def test_heat_grid_matches_scalar_cell_by_cell(cfg, arch, couple, data):
         assert bits(got) == bits(want), (i, j, k)
 
 
-@given(system_configs(), st.sampled_from(ARCHITECTURES), st.booleans(), st.data())
-def test_heat_rows_match_scalar_cell_by_cell(cfg, arch, couple, data):
-    cfg, powers, volts, wires = data.draw(grid_axes(cfg))
-    for v in volts:
-        for n in wires:
-            expected = [scalar_cell(cfg, arch, p, v, n, couple) for p in powers]
-            if ZeroDivisionError in expected:
-                with pytest.raises(ZeroDivisionError):
-                    _heat_rows(arch, cfg, powers, v, n, couple)
-            else:
-                rows = [_HeatGrid._make(row) for row in _heat_rows(arch, cfg, powers, v, n, couple)]
-                assert bits(rows) == bits(expected), (v, n)
-
-
 def outcome(evaluate, *args):
     """``bits(evaluate(*args))``, or the type and message of the ``ZeroDivisionError`` it raises."""
     try:
@@ -243,35 +234,39 @@ def outcome(evaluate, *args):
 
 
 @given(system_configs(), st.sampled_from(ARCHITECTURES), st.booleans(), st.data())
-def test_cell_evaluator_matches_heat_rows(cfg, arch, couple, data):
-    # optimize's Python-grid cells and golden-section probes read one _cell_cooling per call.
-    cfg, powers, volts, wires = data.draw(grid_axes(maybe_negative_zero_load(data, cfg)))
+def test_heat_cell_matches_scalar_cell_by_cell(cfg, arch, couple, data):
+    # The float cells of the CLI's sweeps, optimize's Python grids and its golden-section probes.
+    cfg = maybe_negative_zero_load(data, cfg)
     v_out = cfg.converter.v_out  # where a tracking converter stage drops, and one ulp either side
-    volts += [v_out, math.nextafter(v_out, 0.0), math.nextafter(v_out, math.inf), None]
+    if data.draw(st.booleans()):  # every rail from one ulp below v_out up is then a valid free value
+        cfg = replace(cfg, load=replace(cfg.load, v_rx=min(cfg.load.v_rx, math.nextafter(v_out, 0.0))))
+    cfg, powers, volts, wires = data.draw(grid_axes(cfg))
+    edges = [v_out, math.nextafter(v_out, 0.0), math.nextafter(v_out, math.inf)]
+    volts += [v for v in edges if v >= cfg.load.v_rx] + [None]
+    fields = _heat_cell(arch, cfg, couple)
     for p in powers + [cfg.load.delivered_power]:
-        cell = _cell_cooling(arch, cfg, p, couple)
         for v in volts:
             for n in wires + [None]:
-                want = outcome(lambda: _heat_rows(arch, cfg, (p,), v, n, couple)[0][-1])
-                assert outcome(cell, v, n) == want, (p, v, n)
+                got = outcome(lambda: _HeatGrid._make(fields(p, v, n)))
+                assert got == outcome(scalar_fields, cfg, arch, p, v, n, couple), (p, v, n)
 
 
 def test_cell_builds_no_record(monkeypatch):
-    # A probe computes on floats: no coefficient record, no _stage_heat tuple.
+    # A float cell computes on floats: no coefficient record and no _HeatGrid.
     cfg = default_config()
     cfg = replace(cfg, converter=replace(cfg.converter, attach_hv_nonradiative=True))
     v_out, p = cfg.converter.v_out, cfg.load.delivered_power
-    cells = [(_cell_cooling(arch, cfg, p, couple), arch) for arch in ARCHITECTURES for couple in (True, False)]
+    cells = [(_heat_cell(arch, cfg, couple), arch) for arch in ARCHITECTURES for couple in (True, False)]
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("a probe built a record")
+        raise AssertionError("a cell built a record")
 
-    monkeypatch.setattr(thermal, "_coefficients", forbidden)
-    monkeypatch.setattr(thermal, "_stage_heat", forbidden)
-    for cell, arch in cells:
+    monkeypatch.setattr(losses, "_coefficients", forbidden)
+    monkeypatch.setattr(thermal, "_HeatGrid", forbidden)
+    for fields, arch in cells:
         for v in (None, 2.0 * v_out, v_out, 0.5 * v_out):  # a tracking stage above, at and below v_out
             for n in (None, 3):
-                assert math.isfinite(cell(v, n)), (arch, v, n)
+                assert math.isfinite(fields(p, v, n)[-1]), (arch, v, n)
 
 
 @given(system_configs(), st.sampled_from(ARCHITECTURES), st.booleans(), st.data())
