@@ -17,7 +17,7 @@ from dataclasses import replace
 from itertools import repeat
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .losses import LossBreakdown, _coefficients, architecture_loss_at, carries_converter
+from .losses import LossBreakdown, _link_terms, _loss_cell, architecture_loss_at, carries_converter, dcdc_efficiency
 from .model import ARCHITECTURES, ArchitectureKind, SystemConfig, _dataclass_compatible, _is_finite
 from .noise import white_floor_ratio
 from .thermal import ThermalBudget, _heat_cell, _heat_grid, budget_from_loss, heat_budget
@@ -302,6 +302,9 @@ def devices_under_budget(
     feasibility predicate. Both agree on every configuration. A count fits
     when its cost is within a slack of the budget that absorbs rounding:
     ``1e-12`` of the budget, capped at half the cost of one more device there.
+    Feasibility reads the cold-stage loss of one checked loss evaluator
+    (:func:`cryopower.losses._loss_cell`); the closed form's coefficients
+    come from the link terms, the configured rail and ``dcdc_efficiency``.
     """
     if not _is_finite(total_budget):
         raise ValueError(f"total_budget must be finite, got {total_budget!r}")
@@ -314,18 +317,20 @@ def devices_under_budget(
         )
     if method not in ("closed_form", "bisection"):
         raise ValueError(f"method must be 'closed_form' or 'bisection', got {method!r}")
+    loss = _loss_cell(arch, config, check=True)
     # The cost p + cold(p) is b p + c p^2. At the boundary cost(p*) = B one
     # more device adds power_per_device * (b + 2 c p*), which is
     # power_per_device * discriminant.
-    coefficients = _coefficients(arch, config)
-    b = 1.0 + coefficients.linear * coefficients.cold_fraction + (coefficients.converter or 0.0)
-    c = coefficients.quadratic * coefficients.cold_fraction
+    linear, r_wire, cold_fraction, staged = _link_terms(arch, config, check=False)
+    b = 1.0 + linear * cold_fraction + (1.0 / dcdc_efficiency(config.converter) - 1.0 if staged else 0.0)
+    rail = None if arch._rail is None else getattr(config.load, arch._rail)
+    c = (0.0 if rail is None else r_wire / (rail * rail) / config.wire.wire_count) * cold_fraction
     discriminant = math.sqrt(b * b + 4.0 * c * total_budget)
     limit = min(total_budget * (1.0 + _BUDGET_SLACK), total_budget + 0.5 * power_per_device * discriminant)
 
     def fits(count: int) -> bool:
         p_rx = count * power_per_device
-        return p_rx + architecture_loss_at(arch, config, p_rx, coefficients).loss_at_cold_stage <= limit
+        return p_rx + loss(p_rx)[2] <= limit
 
     if method == "bisection":
         return _bisection_count(fits)
@@ -350,8 +355,7 @@ def equivalent_wire_count(config: SystemConfig, reference: ArchitectureKind) -> 
             f"{reference.label} has zero transmission loss at this configuration; "
             "no finite wire count matches it"
         )
-    one_wire = _coefficients(ArchitectureKind.WIRED, config, wire_count=1, check=False)
-    single_wire_loss = one_wire.losses(p_rx)[0]
+    single_wire_loss = _loss_cell(ArchitectureKind.WIRED, config)(p_rx, None, 1)[0]
     return single_wire_loss / reference_loss
 
 
@@ -618,6 +622,8 @@ def optimize(
         raise ValueError("at least one free parameter is required")
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution!r}")
+    if not _is_finite(resolution):  # an int past float range
+        raise ValueError(f"resolution must be finite, got {resolution!r}")
     for name, (lo, hi) in free_parameters.items():
         if name not in FREE_PARAMETER_NAMES:
             raise ValueError(

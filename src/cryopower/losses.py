@@ -8,7 +8,7 @@ outside the refrigerator and never load the cold stage.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .model import ArchitectureKind, ConverterSpec, SystemConfig, _dataclass_compatible
 
@@ -122,37 +122,6 @@ def carries_converter(arch: ArchitectureKind, spec: ConverterSpec) -> bool:
     return getattr(spec, arch._converter_flag)
 
 
-class _Coefficients(NamedTuple):
-    """Loss of one architecture as coefficients of the delivered power ``p``.
-
-    A wireless link loses ``p * linear``, an I^2 R rail (``rail`` is None for
-    a link) ``(p/rail)^2 * resistance / wires`` and the cold converter
-    ``p * converter`` (None without a stage); the cold stage takes
-    ``transmission * cold_fraction + converter``.
-    """
-
-    linear: float
-    rail: float | None
-    resistance: float
-    wires: int
-    converter: float | None
-    cold_fraction: float
-
-    @property
-    def quadratic(self):
-        """Transmission per watt squared: ``r / v^2 / n`` for a rail, 0 for a link."""
-        return 0.0 if self.rail is None else self.resistance / (self.rail * self.rail) / self.wires
-
-    def losses(self, p):
-        """Transmission, converter and cold-stage loss at ``p``, in the leaf functions' order."""
-        if self.rail is None:
-            transmission = p * self.linear
-        else:
-            transmission = (p * p) / (self.rail * self.rail) * self.resistance / self.wires
-        converter = 0.0 if self.converter is None else p * self.converter
-        return transmission, converter, transmission * self.cold_fraction + converter
-
-
 def _link_terms(arch: ArchitectureKind, config: SystemConfig, check: bool = True) -> tuple:
     """What no rail or wire count moves: a link's ``1/eta - 1``, resistance, cold fraction, stage flag."""
     coup = config.coupling
@@ -168,44 +137,71 @@ def _link_terms(arch: ArchitectureKind, config: SystemConfig, check: bool = True
     return linear, r_wire, cold_fraction, carries_converter(arch, config.converter)
 
 
-def _coefficients(
-    arch: ArchitectureKind, config: SystemConfig, wire_count: int | None = None, check: bool = True
-) -> _Coefficients:
-    """The loss coefficients of ``arch`` at the configured point, from the rail, link and converter flag it declares.
+def _loss_cell(
+    arch: ArchitectureKind, config: SystemConfig, couple_converter_input: bool = True, check: bool = False
+) -> Callable[..., tuple]:
+    """The loss evaluator of ``arch``: ``loss(p_rx, v_rx_hv=None, wire_count=None)``.
 
-    ``wire_count``, when given, replaces the configured count. With
-    ``check``, the architecture's inputs are checked as its leaf functions
-    check them, after the resistance mode. Grids do not read the record:
-    :func:`cryopower.thermal._heat_cell` evaluates them.
+    A call returns the transmission, converter and cold-stage loss of
+    :class:`LossBreakdown` at that point. Its inputs are floats, or NumPy
+    arrays that broadcast together; ``None`` keeps the configured rail or
+    wire count. With coupling on, a given ``v_rx_hv`` sets the converter as
+    :func:`cryopower.compare.resolve_parameters` does: its input tracks the
+    rail, and the stage drops where the rail is at or below ``v_out`` (a
+    float rail then carries no stage, an array rail a 0.0 coefficient
+    there). What no input moves (the link and the resistance) is worked out
+    once; a call computes the rest in the operation order of the leaf
+    functions. With ``check``, the configured point's inputs are checked as
+    the leaf functions check them, after the resistance mode; a call checks
+    nothing, and a float call raises the leaf functions' exception, such as
+    ``ZeroDivisionError``. The evaluator never reads the cooling section. A
+    float rail, or none, never loads NumPy.
     """
     linear, r_wire, cold_fraction, staged = _link_terms(arch, config, check)
-    n = config.wire.wire_count if wire_count is None else wire_count
-    rail = arch._rail  # the LoadSpec field name, then its voltage
-    if rail is not None:
-        rail = getattr(config.load, rail)
-        if check:
-            _check_rail(rail, r_wire, n)
-    converter = 1.0 / dcdc_efficiency(config.converter) - 1.0 if staged else None
-    return _Coefficients(linear, rail, r_wire, n, converter, cold_fraction)
+    conv, v_out, wires = config.converter, config.converter.v_out, config.wire.wire_count
+    rail = None if arch._rail is None else getattr(config.load, arch._rail)
+    if check and rail is not None:
+        _check_rail(rail, r_wire, wires)
+    moves_rail = arch._rail != "v_rx"
+
+    def loss(p_rx, v_rx_hv=None, wire_count=None) -> tuple:
+        converter = 0.0
+        if staged:
+            if v_rx_hv is None or not couple_converter_input:
+                converter = p_rx * (1.0 / dcdc_efficiency(conv) - 1.0)
+            elif isinstance(v_rx_hv, float):  # one rail: a carried stage, or none
+                if v_rx_hv > v_out:
+                    converter = p_rx * (1.0 / _buck_efficiency(conv, v_rx_hv, v_out / v_rx_hv) - 1.0)
+            else:
+                import numpy as np  # only array grids reach here
+
+                carried = v_rx_hv > v_out
+                if np.any(carried):  # as in resolve_parameters, only a carried stage checks its spec
+                    eta = _buck_efficiency(conv, v_rx_hv, v_out / v_rx_hv)
+                    converter = p_rx * np.where(carried, 1.0 / eta - 1.0, 0.0)
+        if rail is None:
+            transmission = p_rx * linear
+        else:
+            v = v_rx_hv if moves_rail and v_rx_hv is not None else rail
+            n = wires if wire_count is None else wire_count
+            transmission = (p_rx * p_rx) / (v * v) * r_wire / n
+        return transmission, converter, transmission * cold_fraction + converter
+
+    return loss
 
 
-def architecture_loss_at(
-    arch: ArchitectureKind, config: SystemConfig, p_rx: float, _record: _Coefficients | None = None
-) -> LossBreakdown:
+def architecture_loss_at(arch: ArchitectureKind, config: SystemConfig, p_rx: float) -> LossBreakdown:
     """Loss breakdown for ``arch`` at an explicit delivered power ``p_rx``.
 
     Wired architectures deposit their full transmission loss at the cold
     stage; wireless ones deposit ``coupling.loss_to_cold_fraction`` of it.
     Only converter-equipped architectures add converter dissipation, which
-    sits at the cold stage in full.
+    sits at the cold stage in full. The values come from the checked loss
+    evaluator :func:`_loss_cell`, which every grid reads too.
     """
-    # ``_record``, when given, is ``_coefficients(arch, config)``; a budget solve builds it once.
     config.wire.effective_resistance  # raises first on a bad resistance mode, as the leaf path did
     _check_delivered(p_rx)
-    if _record is None:
-        _record = _coefficients(arch, config)
-    transmission, converter, cold = _record.losses(p_rx)
-    return LossBreakdown(arch, p_rx, transmission, converter, cold)
+    return LossBreakdown(arch, p_rx, *_loss_cell(arch, config, check=True)(p_rx))
 
 
 def architecture_loss(arch: ArchitectureKind, config: SystemConfig) -> LossBreakdown:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .losses import LossBreakdown, _buck_efficiency, _link_terms, architecture_loss_at, dcdc_efficiency
+from .losses import LossBreakdown, _loss_cell, architecture_loss_at
 from .model import ArchitectureKind, SystemConfig, _dataclass_compatible
 
 
@@ -100,7 +100,8 @@ def _heat_grid(
     """The fields of :func:`heat_budget_at` over a broadcast grid, in one pass.
 
     ``p_rx``, ``v_rx_hv`` and ``wire_count`` are floats or NumPy arrays that
-    broadcast together; this is one :func:`_heat_cell` call under NumPy's
+    broadcast together; this is one :func:`_heat_cell` call, and so one call
+    of the loss evaluator :func:`cryopower.losses._loss_cell`, under NumPy's
     floating-point error checks. Where a cell divides a nonzero value by zero
     (the scalar path raises ``ZeroDivisionError`` there, unless the division
     sits in a converter branch it never takes), the kernel raises
@@ -118,48 +119,22 @@ def _heat_cell(
     """The grid evaluator of ``arch``: ``fields(p_rx, v_rx_hv=None, wire_count=None)``.
 
     A call returns the seven :class:`_HeatGrid` fields, those of
-    :func:`heat_budget_at` at that point. Its inputs are floats, or NumPy
-    arrays that broadcast together; ``None`` keeps the configured rail or
-    wire count. With coupling on, a given ``v_rx_hv`` sets the converter as
-    :func:`cryopower.compare.resolve_parameters` does: its input tracks the
-    rail, and the stage drops where the rail is at or below ``v_out`` (a
-    float rail then carries no stage, an array rail a 0.0 coefficient
-    there). What no input moves (the link, resistance, COP, leak and
-    electronics) is worked out once; a call computes the rest in the
-    operation order of the scalar path, so every value is bit-identical to
-    it. Inputs are not checked; a float cell raises the scalar path's
-    exception, such as ``ZeroDivisionError``, at the call. A float rail, or
-    none, never loads NumPy.
+    :func:`heat_budget_at` at that point: the three losses of the loss
+    evaluator :func:`cryopower.losses._loss_cell` (same inputs, same
+    converter coupling), then the wire load, the heat sum and the cooling
+    power. What no input moves (the COP, leak and electronics) is worked out
+    once, so every value is bit-identical to the scalar path. Inputs are not
+    checked; a float cell raises the scalar path's exception, such as
+    ``ZeroDivisionError``, at the call. A float rail, or none, never loads
+    NumPy.
     """
-    linear, r_wire, cold_fraction, staged = _link_terms(arch, config, check=False)
+    loss = _loss_cell(arch, config, couple_converter_input)
     per_wire, leak, electronics, cop = _stage_terms(arch, config)
-    conv, v_out, wires = config.converter, config.converter.v_out, config.wire.wire_count
-    rail = None if arch._rail is None else getattr(config.load, arch._rail)
-    moves_rail = arch._rail != "v_rx"
+    wires = config.wire.wire_count
 
     def fields(p_rx, v_rx_hv=None, wire_count=None) -> tuple:
-        n = wires if wire_count is None else wire_count
-        converter = 0.0
-        if staged:
-            if v_rx_hv is None or not couple_converter_input:
-                converter = p_rx * (1.0 / dcdc_efficiency(conv) - 1.0)
-            elif isinstance(v_rx_hv, float):  # one rail: a carried stage, or none
-                if v_rx_hv > v_out:
-                    converter = p_rx * (1.0 / _buck_efficiency(conv, v_rx_hv, v_out / v_rx_hv) - 1.0)
-            else:
-                import numpy as np  # only array grids reach here
-
-                carried = v_rx_hv > v_out
-                if np.any(carried):  # as in resolve_parameters, only a carried stage checks its spec
-                    eta = _buck_efficiency(conv, v_rx_hv, v_out / v_rx_hv)
-                    converter = p_rx * np.where(carried, 1.0 / eta - 1.0, 0.0)
-        if rail is None:
-            transmission = p_rx * linear
-        else:
-            v = v_rx_hv if moves_rail and v_rx_hv is not None else rail
-            transmission = (p_rx * p_rx) / (v * v) * r_wire / n
-        cold = transmission * cold_fraction + converter
-        p_load = 0.0 if per_wire is None else per_wire * n
+        transmission, converter, cold = loss(p_rx, v_rx_hv, wire_count)
+        p_load = 0.0 if per_wire is None else per_wire * (wires if wire_count is None else wire_count)
         q_total = p_load + cold + leak + electronics
         return transmission, converter, cold, p_load, q_total, cop, q_total / cop
 

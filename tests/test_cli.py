@@ -299,7 +299,7 @@ def param_sweeps(draw):
 class TestParameterSweepRows:
     @given(param_sweeps())
     def test_matches_single_point_path(self, sweep):
-        # The CLI reads one coefficient record per point on Python floats; validate covers the scalar checks.
+        # The CLI reads one cell evaluator per point on Python floats; validate covers the scalar checks.
         config, path, values = sweep
         assert sweep_outcome(_sweep_rows, config, path, values) == sweep_outcome(
             reference_param_sweep_rows, config, path, values
@@ -639,6 +639,13 @@ class TestExitCodes:
             pytest.param(["sweep", "--param", "converter.f_sw", "--from", "1", "--to", "5", "--steps", str(10**400)],
                          EXIT_BAD_INVOCATION, f"--steps must be finite, got {10**400}",
                          id="parameter_sweep_steps_past_float_range"),
+            pytest.param(["optimize", "--arch", "hv_wired", "--free", "v_rx_hv", "2", "200",
+                          "--resolution", str(10**400)], EXIT_BAD_INVOCATION,
+                         f"resolution must be finite, got {10**400}", id="optimize_resolution_past_float_range"),
+            pytest.param(["optimize", "--arch", "wired", "--free", "wire_count", "1", "10",
+                          "--resolution", str(10**400)], EXIT_BAD_INVOCATION,
+                         f"resolution must be finite, got {10**400}",
+                         id="wire_count_optimize_resolution_past_float_range"),
         ],
     )
     def test_command_line_bound_reaches_its_check(self, capsys, argv, code, message):

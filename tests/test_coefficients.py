@@ -1,13 +1,14 @@
-"""Differential test: the scalar path and the grid evaluator against the public leaf formulas.
+"""Differential test: the evaluators against the public leaf formulas.
 
-The scalar path (``architecture_loss_at``/``heat_budget_at``) reads the
-coefficient record ``losses._coefficients`` of the configured point; every
-grid reads the cell evaluator ``thermal._heat_cell``, here through the
-kernel ``thermal._heat_grid``, which also lets the converter input track a
-varied rail. The leaf functions (``wired_loss``, ``radiative_loss``,
-``converter_loss``, ``carnot_cop``, ...) read neither, so they are the
-independent reference here. ``resolve_parameters`` applies the converter
-coupling to the config the leaf functions read.
+Every loss in ``src/`` comes from one loss evaluator, ``losses._loss_cell``.
+Three paths read it here: the scalar path (``architecture_loss_at``/
+``heat_budget_at``) at the configured point, and the cell evaluator
+``thermal._heat_cell`` on NumPy arrays through the kernel
+``thermal._heat_grid`` and on Python floats; the cell also lets the
+converter input track a varied rail. The leaf functions (``wired_loss``,
+``radiative_loss``, ``converter_loss``, ``carnot_cop``, ...) read none of
+them, so they are the independent reference here. ``resolve_parameters``
+applies the converter coupling to the config the leaf functions read.
 """
 
 import math
@@ -29,7 +30,7 @@ from cryopower.losses import (
     wired_loss,
 )
 from cryopower.model import ARCHITECTURES, ArchitectureKind, default_config
-from cryopower.thermal import _heat_grid, carnot_cop, heat_budget_at
+from cryopower.thermal import _HeatGrid, _heat_cell, _heat_grid, carnot_cop, heat_budget_at
 
 from strategies import finite, system_configs
 
@@ -37,7 +38,7 @@ A = ArchitectureKind
 # Written out, as the converter rule below is, rather than read from the code under test.
 WIRELESS = (A.RADIATIVE, A.NON_RADIATIVE, A.HV_NON_RADIATIVE)
 
-# The record and the cell evaluate every term in its leaf function's operation
+# The evaluators compute every term in its leaf function's operation
 # order, so every value is compared by float.hex, subnormal powers included. Powers are
 # drawn >= +0.0: at p = -0.0 a grid cell whose tracking converter dropped
 # reads -0.0 * 0 = -0.0 where the scalar path, with no stage, reads 0.0.
@@ -78,7 +79,7 @@ def assert_matches(value, expected, where):
 
 
 @given(system_configs(), st.sampled_from(ARCHITECTURES), st.booleans(), st.data())
-def test_record_matches_leaf_formulas(cfg, arch, couple, data):
+def test_evaluators_match_leaf_formulas(cfg, arch, couple, data):
     if data.draw(st.booleans()):  # rails can then reach v_out, where a tracking converter drops
         cfg = replace(cfg, load=replace(cfg.load, v_rx=min(cfg.load.v_rx, cfg.converter.v_out)))
     p_list = data.draw(st.lists(powers, min_size=1, max_size=3))
@@ -90,12 +91,14 @@ def test_record_matches_leaf_formulas(cfg, arch, couple, data):
     )
     shape = (len(p_list), len(v_list), len(n_list))
     fields = {name: np.broadcast_to(value, shape) for name, value in grid._asdict().items()}
+    float_cell = _heat_cell(arch, cfg, couple)
     for i, j, k in np.ndindex(shape):
         p = p_list[i]
         point = resolve_parameters(cfg, arch, {"v_rx_hv": v_list[j], "wire_count": n_list[k]}, couple)
         expected = leaf_values(arch, point, p)
         cell = {name: float(fields[name][i, j, k]) for name in expected}
         assert_matches(cell, expected, ("grid", i, j, k))
+        assert_matches(_HeatGrid(*float_cell(p, v_list[j], n_list[k]))._asdict(), expected, ("float", i, j, k))
         loss = architecture_loss_at(arch, point, p)
         budget = heat_budget_at(arch, point, p)
         scalar = {

@@ -42,6 +42,25 @@ def _without_converter(cfg):
     return replace(cfg, converter=replace(cfg.converter, include_loss=False))
 
 
+def count_loss_evaluations(monkeypatch):
+    """Count calls of every loss evaluator ``compare`` builds from now on; returns a reader of the count."""
+    calls = 0
+    build = compare._loss_cell
+
+    def counting_cell(*args, **kwargs):
+        loss = build(*args, **kwargs)
+
+        def counting(*point):
+            nonlocal calls
+            calls += 1
+            return loss(*point)
+
+        return counting
+
+    monkeypatch.setattr(compare, "_loss_cell", counting_cell)
+    return lambda: calls
+
+
 class TestSweepLoss:
     def test_default_operating_point(self):
         result = sweep_loss(default_config(), [200])
@@ -375,16 +394,9 @@ class TestDevicesUnderBudget:
         # the root must still take O(log) loss evaluations and land where
         # bisection does.
         cfg = replace(default_config(), load=replace(default_config().load, power_per_device=1e-12))
-        calls = 0
-
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return architecture_loss_at(*args)
-
-        monkeypatch.setattr(compare, "architecture_loss_at", counting)
+        calls = count_loss_evaluations(monkeypatch)
         closed = devices_under_budget(arch, cfg, 1000.0)
-        assert calls <= 64
+        assert 0 < calls() <= 64
         assert closed == devices_under_budget(arch, cfg, 1000.0, method="bisection")
 
     @pytest.mark.parametrize("power_per_device", [1e-12, 0.005, 1e3])
@@ -395,16 +407,9 @@ class TestDevicesUnderBudget:
         # tests (one test when n = 0), and each must be a loss evaluation.
         cfg = replace(default_config(), load=replace(default_config().load, power_per_device=power_per_device))
         closed = devices_under_budget(arch, cfg, 1000.0)
-        calls = 0
-
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return architecture_loss_at(*args)
-
-        monkeypatch.setattr(compare, "architecture_loss_at", counting)
+        calls = count_loss_evaluations(monkeypatch)
         assert devices_under_budget(arch, cfg, 1000.0, method="bisection") == closed
-        assert calls == max(1, 2 * closed.bit_length())
+        assert calls() == max(1, 2 * closed.bit_length())
 
     @pytest.mark.parametrize(
         "arch, count",
@@ -860,6 +865,24 @@ class TestOptimize:
             optimize(cfg, {"v_rx_hv": (2.0, 20.0)}, A.HV_WIRED, resolution=1)
         with pytest.raises(ValueError, match="objective"):
             optimize(cfg, {"v_rx_hv": (2.0, 20.0)}, A.HV_WIRED, objective="noise")
+        # A large finite resolution would allocate its grid, so only an int past float range is tried.
+        for free in ({"v_rx_hv": (2.0, 20.0)}, {"wire_count": (1, 10)}):
+            with pytest.raises(ValueError, match=f"^resolution must be finite, got {10**400}$"):
+                optimize(cfg, free, A.HV_WIRED, resolution=10**400)
+
+
+def test_loss_paths_never_read_the_cooling_section():
+    # The loss evaluator never computes the COP: with t_cold = 0 every
+    # heat-free entry point still works.
+    cfg = default_config()
+    cfg = replace(cfg, cooling=replace(cfg.cooling, t_cold=0.0))
+    with pytest.raises(ValueError, match="temperatures"):
+        heat_budget(A.WIRED, cfg)
+    for arch in ARCHITECTURES:
+        assert architecture_loss_at(arch, cfg, 0.5) == architecture_loss_at(arch, default_config(), 0.5)
+        for method in ("closed_form", "bisection"):
+            assert devices_under_budget(arch, cfg, 1.0, method) == devices_under_budget(arch, default_config(), 1.0)
+    assert equivalent_wire_count(cfg, A.RADIATIVE) == equivalent_wire_count(default_config(), A.RADIATIVE)
 
 
 class TestEvaluateArchitecture:

@@ -5,10 +5,15 @@ Every grid reads ``thermal._heat_cell``. ``sweep_loss`` and the grids of
 NumPy arrays through the kernel ``thermal._heat_grid``, which adds NumPy's
 error checks; the CLI's sweeps (``compare._sweep_cells``), smaller
 ``optimize`` grids (``compare._cell_trace``) and every golden-section probe
-call it on Python floats. The scalar
-``resolve_parameters`` + ``heat_budget``/``architecture_loss_at`` path stays
-as the reference. Floats
-are compared by ``float.hex`` so that 0.0 and -0.0 count. ``system_configs()``
+call it on Python floats. The cell and the scalar path read the same loss
+evaluator, ``losses._loss_cell``: the scalar path at the configured point
+of a config that ``resolve_parameters`` built, the cell with the varied
+rail and wire count as call arguments and the converter coupling applied
+inside it. So the scalar ``resolve_parameters`` +
+``heat_budget``/``architecture_loss_at`` path stays the reference for the
+coupling, the argument handling and the heat sum; the frozen copy in
+``tests/architecture_reference.py`` and ``tests/test_coefficients.py``'s
+leaf formulas check the loss arithmetic itself. Floats are compared by ``float.hex`` so that 0.0 and -0.0 count. ``system_configs()``
 draws ``converter.include_loss`` and ``attach_hv_nonradiative``; the tests
 draw converter coupling, rails on both sides of ``converter.v_out``, rails so
 small that the Joule term overflows (1e-160) or divides by zero (1e-170,
@@ -251,8 +256,8 @@ def test_heat_cell_matches_scalar_cell_by_cell(cfg, arch, couple, data):
                 assert got == outcome(scalar_fields, cfg, arch, p, v, n, couple), (p, v, n)
 
 
-def test_cell_builds_no_record(monkeypatch):
-    # A float cell computes on floats: no coefficient record and no _HeatGrid.
+def test_float_cell_builds_no_result_record(monkeypatch):
+    # A float cell computes on floats: no _HeatGrid and no LossBreakdown.
     cfg = default_config()
     cfg = replace(cfg, converter=replace(cfg.converter, attach_hv_nonradiative=True))
     v_out, p = cfg.converter.v_out, cfg.load.delivered_power
@@ -261,8 +266,8 @@ def test_cell_builds_no_record(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a cell built a record")
 
-    monkeypatch.setattr(losses, "_coefficients", forbidden)
     monkeypatch.setattr(thermal, "_HeatGrid", forbidden)
+    monkeypatch.setattr(losses, "LossBreakdown", forbidden)
     for fields, arch in cells:
         for v in (None, 2.0 * v_out, v_out, 0.5 * v_out):  # a tracking stage above, at and below v_out
             for n in (None, 3):
