@@ -17,7 +17,7 @@ from dataclasses import replace
 from itertools import repeat
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .losses import LossBreakdown, _link_terms, _loss_cell, architecture_loss_at, carries_converter, dcdc_efficiency
+from .losses import LossBreakdown, _cost_terms, _loss_cell, architecture_loss_at, carries_converter
 from .model import ARCHITECTURES, ArchitectureKind, SystemConfig, _dataclass_compatible, _is_finite
 from .noise import white_floor_ratio
 from .thermal import ThermalBudget, _heat_cell, _heat_grid, budget_from_loss, heat_budget
@@ -302,9 +302,10 @@ def devices_under_budget(
     feasibility predicate. Both agree on every configuration. A count fits
     when its cost is within a slack of the budget that absorbs rounding:
     ``1e-12`` of the budget, capped at half the cost of one more device there.
-    Feasibility reads the cold-stage loss of one checked loss evaluator
-    (:func:`cryopower.losses._loss_cell`); the closed form's coefficients
-    come from the link terms, the configured rail and ``dcdc_efficiency``.
+    Each feasibility test is an :func:`architecture_loss_at` call on one
+    checked loss evaluator (:func:`cryopower.losses._loss_cell`) that the
+    solve builds once; the closed form's coefficients come from
+    :func:`cryopower.losses._cost_terms`.
     """
     if not _is_finite(total_budget):
         raise ValueError(f"total_budget must be finite, got {total_budget!r}")
@@ -321,16 +322,13 @@ def devices_under_budget(
     # The cost p + cold(p) is b p + c p^2. At the boundary cost(p*) = B one
     # more device adds power_per_device * (b + 2 c p*), which is
     # power_per_device * discriminant.
-    linear, r_wire, cold_fraction, staged = _link_terms(arch, config, check=False)
-    b = 1.0 + linear * cold_fraction + (1.0 / dcdc_efficiency(config.converter) - 1.0 if staged else 0.0)
-    rail = None if arch._rail is None else getattr(config.load, arch._rail)
-    c = (0.0 if rail is None else r_wire / (rail * rail) / config.wire.wire_count) * cold_fraction
+    b, c = _cost_terms(arch, config)
     discriminant = math.sqrt(b * b + 4.0 * c * total_budget)
     limit = min(total_budget * (1.0 + _BUDGET_SLACK), total_budget + 0.5 * power_per_device * discriminant)
 
     def fits(count: int) -> bool:
         p_rx = count * power_per_device
-        return p_rx + loss(p_rx)[2] <= limit
+        return p_rx + architecture_loss_at(arch, config, p_rx, loss).loss_at_cold_stage <= limit
 
     if method == "bisection":
         return _bisection_count(fits)

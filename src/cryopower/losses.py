@@ -190,7 +190,18 @@ def _loss_cell(
     return loss
 
 
-def architecture_loss_at(arch: ArchitectureKind, config: SystemConfig, p_rx: float) -> LossBreakdown:
+def _cost_terms(arch: ArchitectureKind, config: SystemConfig) -> tuple[float, float]:
+    """``b`` and ``c`` of the budgeted cost ``p_rx + cold(p_rx) = b p_rx + c p_rx^2`` at the configured point."""
+    linear, r_wire, cold_fraction, staged = _link_terms(arch, config, check=False)
+    b = 1.0 + linear * cold_fraction + (1.0 / dcdc_efficiency(config.converter) - 1.0 if staged else 0.0)
+    rail = None if arch._rail is None else getattr(config.load, arch._rail)
+    c = (0.0 if rail is None else r_wire / (rail * rail) / config.wire.wire_count) * cold_fraction
+    return b, c
+
+
+def architecture_loss_at(
+    arch: ArchitectureKind, config: SystemConfig, p_rx: float, _loss: Callable[..., tuple] | None = None
+) -> LossBreakdown:
     """Loss breakdown for ``arch`` at an explicit delivered power ``p_rx``.
 
     Wired architectures deposit their full transmission loss at the cold
@@ -199,9 +210,12 @@ def architecture_loss_at(arch: ArchitectureKind, config: SystemConfig, p_rx: flo
     sits at the cold stage in full. The values come from the checked loss
     evaluator :func:`_loss_cell`, which every grid reads too.
     """
+    # ``_loss``, when given, is ``_loss_cell(arch, config, check=True)``; a budget solve builds it once.
     config.wire.effective_resistance  # raises first on a bad resistance mode, as the leaf path did
     _check_delivered(p_rx)
-    return LossBreakdown(arch, p_rx, *_loss_cell(arch, config, check=True)(p_rx))
+    if _loss is None:
+        _loss = _loss_cell(arch, config, check=True)
+    return LossBreakdown(arch, p_rx, *_loss(p_rx))
 
 
 def architecture_loss(arch: ArchitectureKind, config: SystemConfig) -> LossBreakdown:

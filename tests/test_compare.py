@@ -404,12 +404,22 @@ class TestDevicesUnderBudget:
     def test_bisection_tests_feasibility_through_the_loss_path(self, arch, power_per_device, monkeypatch):
         # Bisection doubles a bound until it does not fit, then halves the
         # bracket: for an answer n >= 1 that is 2 * n.bit_length() feasibility
-        # tests (one test when n = 0), and each must be a loss evaluation.
+        # tests (one test when n = 0), and each must be a loss evaluation
+        # made through architecture_loss_at, where a trace of it sees them.
         cfg = replace(default_config(), load=replace(default_config().load, power_per_device=power_per_device))
         closed = devices_under_budget(arch, cfg, 1000.0)
         calls = count_loss_evaluations(monkeypatch)
+        breakdowns = []
+        loss_at = compare.architecture_loss_at
+
+        def counting_loss_at(*args):
+            breakdowns.append(loss_at(*args))
+            return breakdowns[-1]
+
+        monkeypatch.setattr(compare, "architecture_loss_at", counting_loss_at)
         assert devices_under_budget(arch, cfg, 1000.0, method="bisection") == closed
         assert calls() == max(1, 2 * closed.bit_length())
+        assert len(breakdowns) == calls()
 
     @pytest.mark.parametrize(
         "arch, count",
