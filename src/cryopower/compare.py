@@ -15,7 +15,7 @@ import math
 from _thread import RLock
 from dataclasses import replace
 from itertools import repeat
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .losses import LossBreakdown, _cost_terms, _loss_cell, architecture_loss_at, carries_converter
 from .model import ARCHITECTURES, ArchitectureKind, SystemConfig, _dataclass_compatible, _is_finite
@@ -40,8 +40,9 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _PYTHON_GRID_CELLS = 256
 
 # optimize's kernel evaluates at most this many cells per NumPy call, one
-# call per block of whole wire counts: a 1000 x 1000 grid takes 16 calls of
-# 0.5 MB temporaries, where a single call grew RSS by about 32 MB.
+# call per block of whole v_rx_hv rows taken in scan order: a 1000 x 1000 grid
+# takes 16 calls of 0.5 MB temporaries, where a single call grew RSS by about
+# 32 MB. A row longer than this is one block.
 _KERNEL_BLOCK_CELLS = 1 << 16
 
 FREE_PARAMETER_NAMES = ("v_rx_hv", "wire_count")
@@ -161,20 +162,14 @@ def _is_whole(count: float) -> bool:
 _SWEEP_BUILD = RLock()
 
 
-def sweep_loss(
-    config: SystemConfig,
-    device_counts: Sequence[int],
-    map_fn: Callable[..., Iterable] = map,
-) -> SweepResult:
+def sweep_loss(config: SystemConfig, device_counts: Sequence[int]) -> SweepResult:
     """Evaluate all five architectures at each device count.
 
     The whole device axis goes through the grid kernel
     (:func:`cryopower.thermal._heat_grid`) in one call per architecture, and
     every value is bit-identical to :func:`evaluate_architecture` at that
     count; the first count also runs through :func:`evaluate_architecture`,
-    so an invalid config raises the same error. ``map_fn`` maps the kernel
-    call over the five architectures and may be replaced by a pool's map;
-    results are assembled in input order either way.
+    so an invalid config raises the same error.
 
     The cyclic garbage collector is paused while the result records are
     built, and the one collection it held back, if any, runs before the call
@@ -190,15 +185,14 @@ def sweep_loss(
     p_axis = np.array(p_rx)
     stage = config.stage
 
-    def _columns(arch: ArchitectureKind) -> list:
-        grid = _heat_grid(arch, config, p_axis)
-        # Fields the axis does not move (wire load, COP, a missing converter stage) are floats.
-        return [field.tolist() if isinstance(field, np.ndarray) else repeat(field) for field in grid]
-
     # Records are built as tuple.__new__(cls, fields), without a Python-level __new__ per record.
-    columns = map_fn(_columns, ARCHITECTURES)
     per_arch = []
-    for arch, (trans, conv, cold, p_load, q_total, cop, cooling) in zip(ARCHITECTURES, columns):
+    for arch in ARCHITECTURES:
+        # Fields the axis does not move (wire load, COP, a missing converter stage) are floats.
+        trans, conv, cold, p_load, q_total, cop, cooling = (
+            field.tolist() if isinstance(field, np.ndarray) else repeat(field)
+            for field in _heat_grid(arch, config, p_axis)
+        )
         losses = map(tuple.__new__, repeat(LossBreakdown), zip(repeat(arch), p_rx, trans, conv, cold))
         budgets = map(
             tuple.__new__,
@@ -526,42 +520,44 @@ def _kernel_trace(
     v_grid,
     n_grid: list,
     couple_converter_input: bool,
-    map_fn: Callable[..., Iterable],
 ) -> tuple[list, int | None]:
     """The grid's strict improvements over the running minimum (v-major) and the last one's v index.
 
-    One grid-kernel call per block of whole wire counts, each block at most
-    ``_KERNEL_BLOCK_CELLS`` cells with the ``v_rx_hv`` axis (an array, one
-    rail or ``[None]``) as a column and the wire counts as a row, mapped by
-    ``map_fn``. NaN cells never improve, as ``value < best`` skips them.
-    Where a cell divides by zero, :func:`_cell_trace` scans the grid instead.
+    One grid-kernel call per block of whole ``v_rx_hv`` rows, taken in scan
+    order: a column of rails (a slice of the array, or the one rail or
+    ``None``) by the row of wire counts, at most ``_KERNEL_BLOCK_CELLS``
+    cells or one row. The running minimum and its row index carry from
+    block to block, so only one block's values are held at a time. NaN
+    cells never improve, as ``value < best`` skips them. Where a cell
+    divides by zero, :func:`_cell_trace` scans the grid instead.
     """
     import numpy as np  # loaded on first grid call, off the CLI cold path
 
     p_rx = config.load.delivered_power
     v_axis = None if v_grid[0] is None else np.asarray(v_grid, dtype=float)
-    v_column = None if v_axis is None else v_axis[:, None]
-    step = max(1, _KERNEL_BLOCK_CELLS // len(v_grid))
-
-    def _block(wires: list) -> np.ndarray:
-        n_row = None if wires[0] is None else np.array(wires)[None, :]
-        cooling = _heat_grid(arch, config, p_rx, v_column, n_row, couple_converter_input).cooling_power
-        return np.broadcast_to(cooling, (len(v_grid), len(wires)))
-
-    blocks = [n_grid[i : i + step] for i in range(0, len(n_grid), step)]
-    try:
-        values = np.concatenate(list(map_fn(_block, blocks)), axis=1).ravel()
-    except FloatingPointError:
-        # A cell divides by zero: the single-point path raises there too, or
-        # the division sits in a converter branch that it never takes.
-        fields = _heat_cell(arch, config, couple_converter_input)
-        return _cell_trace(fields, p_rx, [None] if v_axis is None else v_axis.tolist(), n_grid)
-    running = np.fmin.accumulate(np.concatenate(([math.inf], values)))[:-1]
-    improved = np.flatnonzero(values < running)
-    v_index, n_index = np.divmod(improved, len(n_grid))
-    picked_v = repeat(None) if v_axis is None else v_axis[v_index].tolist()
-    params = map(_free_params, picked_v, map(n_grid.__getitem__, n_index.tolist()))
-    return list(zip(params, values[improved].tolist())), int(v_index[-1]) if improved.size else None
+    n_row = None if n_grid[0] is None else np.array(n_grid)
+    rows = max(1, _KERNEL_BLOCK_CELLS // len(n_grid))
+    trace, best, index = [], math.inf, None
+    for start in range(0, len(v_grid), rows):
+        v_column = None if v_axis is None else v_axis[start : start + rows, None]
+        try:
+            cooling = _heat_grid(arch, config, p_rx, v_column, n_row, couple_converter_input).cooling_power
+        except FloatingPointError:
+            # A cell divides by zero: the single-point path raises there too, or
+            # the division sits in a converter branch that it never takes.
+            fields = _heat_cell(arch, config, couple_converter_input)
+            return _cell_trace(fields, p_rx, [None] if v_axis is None else v_axis.tolist(), n_grid)
+        values = np.broadcast_to(cooling, (min(rows, len(v_grid) - start), len(n_grid))).ravel()
+        running = np.fmin.accumulate(np.concatenate(([best], values)))
+        improved = np.flatnonzero(values < running[:-1])
+        if improved.size:
+            v_index, n_index = np.divmod(improved, len(n_grid))
+            v_index += start
+            picked_v = repeat(None) if v_axis is None else v_axis[v_index].tolist()
+            params = map(_free_params, picked_v, map(n_grid.__getitem__, n_index.tolist()))
+            trace += zip(params, values[improved].tolist())
+            best, index = running[-1], int(v_index[-1])
+    return trace, index
 
 
 def _cell_trace(fields: Callable[..., tuple], p_rx: float, v_grid: list, n_grid: list) -> tuple[list, int | None]:
@@ -586,11 +582,9 @@ def optimize(
     config: SystemConfig,
     free_parameters: Mapping[str, tuple[float, float]],
     arch: ArchitectureKind,
-    objective: str = "cooling_power",
     *,
     resolution: int = 1000,
     couple_converter_input: bool = True,
-    map_fn: Callable[..., Iterable] = map,
 ) -> OptimizationResult:
     """Minimize cooling power over a box of free parameters.
 
@@ -601,21 +595,17 @@ def optimize(
 
     A grid of more than ``_PYTHON_GRID_CELLS`` cells goes through the grid
     kernel (:func:`cryopower.thermal._heat_grid`): one call per block of
-    whole wire counts, each over the whole ``v_rx_hv`` axis and at most
-    ``_KERNEL_BLOCK_CELLS`` cells, and ``map_fn`` (which may be a pool's map)
-    maps those calls over the blocks; its ``v_rx_hv`` axis comes from
-    ``numpy.linspace``, which :func:`_linspace` equals bit for bit. A smaller
-    grid is scanned on Python floats, one cell at a time, without loading
-    NumPy, and so is each golden-section probe. Both read the one cell
-    evaluator :func:`cryopower.thermal._heat_cell`: the kernel on arrays, the
-    scan and the probes on floats. Every value is bit-identical to the
-    single-point path (:func:`resolve_parameters` and
-    :func:`cryopower.thermal.heat_budget`);
-    the first grid cell still runs through it, so an invalid config raises
-    the same error.
+    whole ``v_rx_hv`` rows, each over every wire count and at most
+    ``_KERNEL_BLOCK_CELLS`` cells or one row, in scan order; its ``v_rx_hv``
+    axis comes from ``numpy.linspace``, which :func:`_linspace` equals bit
+    for bit. A smaller grid is scanned on Python floats, one cell at a time,
+    without loading NumPy, and so is each golden-section probe. Both read
+    the one cell evaluator :func:`cryopower.thermal._heat_cell`: the kernel
+    on arrays, the scan and the probes on floats. Every value is
+    bit-identical to the single-point path (:func:`resolve_parameters` and
+    :func:`cryopower.thermal.heat_budget`); the first grid cell still runs
+    through it, so an invalid config raises the same error.
     """
-    if objective != "cooling_power":
-        raise ValueError(f"unsupported objective {objective!r}")
     if not free_parameters:
         raise ValueError("at least one free parameter is required")
     if resolution < 2:
@@ -674,7 +664,7 @@ def optimize(
     if evaluations <= _PYTHON_GRID_CELLS:
         trace, index = _cell_trace(fields, p_rx, v_grid, n_grid)
     else:
-        trace, index = _kernel_trace(config, arch, v_grid, n_grid, couple_converter_input, map_fn)
+        trace, index = _kernel_trace(config, arch, v_grid, n_grid, couple_converter_input)
     if not trace:
         raise ValueError(f"{arch.label}: every grid cell's cooling power is inf or NaN")
     best_params, best_value = dict(trace[-1][0]), trace[-1][1]

@@ -1,5 +1,7 @@
 """Hypothesis strategies generating valid domain values for the property suites."""
 
+import struct
+
 from hypothesis import strategies as st
 
 from cryopower.model import (
@@ -63,19 +65,48 @@ def coupling_specs(draw) -> CouplingSpec:
     )
 
 
+def _least_addend(x: float, floor: float) -> float:
+    """The least float ``y >= 0`` whose float sum ``x + y`` exceeds ``floor > 0``, for ``x >= 0``.
+
+    The sum is monotone in ``y``, and nonnegative floats order as their bit
+    patterns, so this bisects on the patterns between ``0.0`` and ``2 * floor``.
+    """
+
+    def as_float(bits: int) -> float:
+        return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+    if x > floor:
+        return 0.0
+    lo, hi = 0, struct.unpack("<Q", struct.pack("<d", 2.0 * floor))[0]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if x + as_float(mid) > floor else (mid, hi)
+    return as_float(hi)
+
+
 @st.composite
-def converter_specs(draw) -> ConverterSpec:
+def converter_specs(draw, switching: bool = False) -> ConverterSpec:
+    """A valid converter; with ``switching``, one whose every loss term is live.
+
+    That is the valid domain where the resistances and ``i_out`` exceed
+    1e-6, ``f_sw`` exceeds 1 Hz and ``t_r + t_f`` exceeds 1e-12 s, drawn
+    directly instead of filtered.
+    """
+
+    def above(floor: float, hi: float) -> st.SearchStrategy[float]:
+        return finite(floor, hi, exclude_min=True) if switching else finite(0.0, hi)
+
     v_out = draw(finite(0.5, 5.0))
     return ConverterSpec(
-        r_hs=draw(finite(0.0, 1.0)),
-        r_ls=draw(finite(0.0, 1.0)),
-        r_l=draw(finite(0.0, 1.0)),
+        r_hs=draw(above(1e-6, 1.0)),
+        r_ls=draw(above(1e-6, 1.0)),
+        r_l=draw(above(1e-6, 1.0)),
         v_in=v_out * draw(finite(1.05, 20.0)),
         v_out=v_out,
-        i_out=draw(finite(0.0, 5.0)),
-        t_r=draw(finite(0.0, 5e-8)),
-        t_f=draw(finite(0.0, 5e-8)),
-        f_sw=draw(finite(0.0, 5e6)),
+        i_out=draw(above(1e-6, 5.0)),
+        t_r=(t_r := draw(finite(0.0, 5e-8))),
+        t_f=draw(finite(_least_addend(t_r, 1e-12) if switching else 0.0, 5e-8)),
+        f_sw=draw(above(1.0, 5e6)),
         duty=draw(finite(0.01, 0.99)),
         include_loss=draw(st.booleans()),
         attach_hv_nonradiative=draw(st.booleans()),

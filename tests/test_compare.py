@@ -105,13 +105,6 @@ class TestSweepLoss:
         with pytest.raises(ValueError):
             sweep_loss(default_config(), [0, 5])
 
-    def test_parallel_map_gives_identical_results(self):
-        counts = list(range(1, 40))
-        serial = sweep_loss(default_config(), counts)
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            parallel = sweep_loss(default_config(), counts, map_fn=pool.map)
-        assert serial == parallel
-
     @pytest.mark.parametrize("sweep", [sweep_loss, compare._sweep_cells])
     @pytest.mark.parametrize(
         "counts, bad", [([1.2, 1.7], "1.2"), ([1, math.nan], "nan"), ([1, math.inf], "inf")]
@@ -140,14 +133,28 @@ def _set_collector(enabled: bool) -> None:
     (gc.enable if enabled else gc.disable)()
 
 
-def _fail_after_first_transmission_loss(fn, archs):
-    """A ``map_fn`` whose transmission-loss columns raise after one value, while records are built."""
+class _ReadColumn(np.ndarray):
+    """An array whose ``tolist()`` returns ``read(values)``, which the sweep iterates while it builds records."""
 
-    def fail_after_first(column):
-        yield column[0]
-        raise RuntimeError("column read failed")
+    def tolist(self):
+        return self.read(super().tolist())
 
-    return [[fail_after_first(columns[0]), *columns[1:]] for columns in map(fn, archs)]
+
+def _read_first_column_through(monkeypatch, read) -> None:
+    """Have the next sweep read its first transmission-loss column through ``read``; later sweeps run as shipped."""
+    heat_grid = compare._heat_grid
+    patched = []
+
+    def first_column_read(*args):
+        grid = heat_grid(*args)
+        if patched:
+            return grid
+        column = grid.transmission_loss.view(_ReadColumn)
+        column.read = read
+        patched.append(column)
+        return grid._replace(transmission_loss=column)
+
+    monkeypatch.setattr(compare, "_heat_grid", first_column_read)
 
 
 class TestSweepCollectorPause:
@@ -250,10 +257,15 @@ class TestSweepCollectorPause:
         assert gc.collect() < 30
 
     @pytest.mark.parametrize("enabled", [True, False])
-    def test_failure_while_building_restores_collector(self, enabled):
+    def test_failure_while_building_restores_collector(self, enabled, monkeypatch):
+        def fail_after_first(values):
+            yield values[0]
+            raise RuntimeError("column read failed")
+
+        _read_first_column_through(monkeypatch, fail_after_first)
         _set_collector(enabled)
         with pytest.raises(RuntimeError, match="column read failed"):
-            sweep_loss(default_config(), range(1, 201), map_fn=_fail_after_first_transmission_loss)
+            sweep_loss(default_config(), range(1, 201))
         assert gc.isenabled() is enabled
 
     def test_two_sweeps_never_interleave_their_collector_calls(self, monkeypatch):
@@ -306,25 +318,21 @@ class TestSweepCollectorPause:
         assert log == [(first, call) for call in calls] + [("second", call) for call in calls]
         assert collector.enabled, "collector left disabled after both sweeps"
 
-    def test_sweep_from_inside_a_record_build_completes(self):
+    def test_sweep_from_inside_a_record_build_completes(self, monkeypatch):
         enabled = gc.isenabled()
         cfg = default_config()
         counts = range(1, 21)
         expected = sweep_loss(cfg, counts)
         inner = []
 
-        def sweep_while_read(column):
+        def sweep_while_read(values):
             inner.append(sweep_loss(cfg, counts))
-            yield from column
+            yield from values
 
-        def map_fn(fn, archs):
-            columns = [fn(arch) for arch in archs]
-            columns[0] = [sweep_while_read(columns[0][0]), *columns[0][1:]]
-            return columns
-
+        _read_first_column_through(monkeypatch, sweep_while_read)
         # A daemon thread, so that a sweep that deadlocks fails the test instead of hanging the run.
         outer = []
-        thread = threading.Thread(target=lambda: outer.append(sweep_loss(cfg, counts, map_fn=map_fn)), daemon=True)
+        thread = threading.Thread(target=lambda: outer.append(sweep_loss(cfg, counts)), daemon=True)
         thread.start()
         thread.join(10)
         assert not thread.is_alive(), "sweep inside a record build did not complete"
@@ -801,15 +809,15 @@ class TestOptimize:
         assert values[-1] == result.objective_value
         assert result.evaluations >= 128
 
-    def test_parallel_map_identical(self, monkeypatch):
+    def test_several_kernel_blocks_identical_to_one(self, monkeypatch):
         cfg = default_config()
         for box in ({"v_rx_hv": (2.0, 100.0)}, {"v_rx_hv": (2.0, 100.0), "wire_count": (1, 8)}):
-            serial = optimize(cfg, box, A.HV_WIRED, resolution=64)
-            with monkeypatch.context() as patch, ThreadPoolExecutor(max_workers=8) as pool:
-                # The 64 x 8 grid maps over blocks of 3, 3 and 2 wire counts.
+            one_block = optimize(cfg, box, A.HV_WIRED, resolution=64)
+            with monkeypatch.context() as patch:
+                # The 64 x 8 grid takes blocks of 24, 24 and 16 rails.
                 patch.setattr(compare, "_KERNEL_BLOCK_CELLS", 3 * 64)
-                parallel = optimize(cfg, box, A.HV_WIRED, resolution=64, map_fn=pool.map)
-            assert serial == parallel
+                blocks = optimize(cfg, box, A.HV_WIRED, resolution=64)
+            assert one_block == blocks
 
     @pytest.mark.parametrize("resolution", [8, 300])  # Python floats, then the NumPy kernel's fallback
     def test_cell_dividing_by_zero_raises_like_single_point_path(self, resolution):
@@ -873,8 +881,6 @@ class TestOptimize:
             optimize(cfg, {"wire_count": (0, 10)}, A.WIRED)
         with pytest.raises(ValueError, match="resolution"):
             optimize(cfg, {"v_rx_hv": (2.0, 20.0)}, A.HV_WIRED, resolution=1)
-        with pytest.raises(ValueError, match="objective"):
-            optimize(cfg, {"v_rx_hv": (2.0, 20.0)}, A.HV_WIRED, objective="noise")
         # A large finite resolution would allocate its grid, so only an int past float range is tried.
         for free in ({"v_rx_hv": (2.0, 20.0)}, {"wire_count": (1, 10)}):
             with pytest.raises(ValueError, match=f"^resolution must be finite, got {10**400}$"):

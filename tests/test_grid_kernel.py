@@ -22,6 +22,7 @@ whose square underflows to 0), and ``power_per_device = -0.0``.
 
 import enum
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -303,6 +304,38 @@ def test_large_grid_identical_at_every_block_size(monkeypatch):
         monkeypatch.setattr(compare, "_KERNEL_BLOCK_CELLS", block_cells)
         results.append(bits(optimize(default_config(), box, ArchitectureKind.HV_WIRED, resolution=1000)))
     assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("block_cells, rails", [(compare._KERNEL_BLOCK_CELLS, 65), (500, 1)])
+def test_kernel_takes_blocks_of_whole_rail_rows_in_scan_order(block_cells, rails, monkeypatch):
+    # 1000 x 1000 cells: 65 rails by every wire count a block, or one row a block when a row outgrows it.
+    calls = []
+
+    def recording(arch, config, p_rx, v_column, n_row, couple):
+        calls.append((v_column.ravel().tolist(), n_row.tolist()))
+        return _heat_grid(arch, config, p_rx, v_column, n_row, couple)
+
+    monkeypatch.setattr(compare, "_KERNEL_BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(compare, "_heat_grid", recording)
+    box = {"v_rx_hv": (2.0, 200.0), "wire_count": (1, 1000)}
+    optimize(default_config(), box, ArchitectureKind.HV_WIRED, resolution=1000)
+    assert [len(v_column) for v_column, _ in calls[:-1]] == [rails] * (len(calls) - 1)
+    assert [v for v_column, _ in calls for v in v_column] == np.linspace(2.0, 200.0, 1000).tolist()
+    assert all(n_row == list(range(1, 1001)) for _, n_row in calls)
+
+
+def test_default_2d_grid_holds_one_block_at_a_time():
+    # The CI's default-resolution grid: 1000 x 1000 cells in blocks of 65 rails. One block's
+    # values take 0.5 MB; the whole grid's would take 8 MB, and as much again for their running minimum.
+    box = {"v_rx_hv": (2.0, 200.0), "wire_count": (1, 1000)}
+    optimize(default_config(), box, ArchitectureKind.HV_WIRED)  # first-call allocations stay outside
+    tracemalloc.start()
+    try:
+        optimize(default_config(), box, ArchitectureKind.HV_WIRED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000, peak
 
 
 @pytest.mark.parametrize("extra, evaluator", [(0, "_cell_trace"), (1, "_kernel_trace")])

@@ -1,13 +1,12 @@
 """Randomized module-invariant suites (1000 cases per property via the profile)."""
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from cryopower.compare import devices_under_budget, equivalent_wire_count, sweep_loss
+from cryopower.compare import devices_under_budget, equivalent_wire_count
 from cryopower.configio import parse_config, serialize_config
 from cryopower.losses import (
     architecture_loss_at,
@@ -22,6 +21,7 @@ from cryopower.noise import rail_noise, supply_noise
 from cryopower.thermal import carnot_cop, heat_budget
 
 from strategies import (
+    converter_specs,
     delivered_powers,
     efficiencies,
     finite,
@@ -32,8 +32,6 @@ from strategies import (
     system_configs,
     wire_counts,
 )
-
-_POOL = ThreadPoolExecutor(max_workers=4)
 
 
 @given(system_configs())
@@ -143,11 +141,8 @@ def test_equivalent_wire_count_scaling(cfg):
     assert equivalent_wire_count(doubled_v, ArchitectureKind.NON_RADIATIVE) == n / 4.0
 
 
-@given(system_configs())
-def test_converter_efficiency_monotonicities(cfg):
-    spec = cfg.converter
-    assume(spec.i_out > 1e-6 and spec.f_sw > 1.0 and (spec.t_r + spec.t_f) > 1e-12)
-    assume(spec.r_hs > 1e-6 and spec.r_ls > 1e-6 and spec.r_l > 1e-6)
+@given(converter_specs(switching=True))
+def test_converter_efficiency_monotonicities(spec):
     eta = dcdc_efficiency(spec)
     assert 0.0 < eta <= 1.0
     assert dcdc_efficiency(replace(spec, f_sw=spec.f_sw * 2.0)) < eta
@@ -190,14 +185,6 @@ def test_noise_ranking_above_corner_at_defaults(f):
 @given(system_configs())
 def test_config_text_round_trip(cfg):
     assert parse_config(serialize_config(cfg)) == cfg
-
-
-@given(system_configs(positive_load=True), st.integers(1, 30), st.integers(1, 8))
-def test_sweep_parallel_map_deterministic(cfg, start, span):
-    counts = list(range(start, start + span))
-    serial = sweep_loss(cfg, counts)
-    parallel = sweep_loss(cfg, counts, map_fn=_POOL.map)
-    assert serial == parallel
 
 
 # carnot_cop rounds twice (eta_c * t_cold, then the quotient), each step
