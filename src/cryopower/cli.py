@@ -26,7 +26,6 @@ from .compare import (
     FREE_PARAMETER_NAMES,
     ArchitectureEvaluation,
     _linspace,
-    _sweep_cells,
     evaluate_architecture,
     devices_under_budget,
     optimize,
@@ -322,7 +321,9 @@ _SWEEP_CSV_COLUMNS = ("value", "architecture", "transmission_loss_w", "q_total_w
 def _sweep_rows(config: SystemConfig, path: str, values: list[Any]) -> list[tuple]:
     # Python floats from one cell evaluator per architecture and point: no NumPy, no result objects.
     if path == "load.device_count":
-        points = zip(*_sweep_cells(config, values))
+        # The config passed validate when it was loaded, and every count is a whole number >= 1.
+        p_rx = [config.load.power_per_device * value for value in values]
+        points = zip(*[list(map(_heat_cell(arch, config), p_rx)) for arch in ARCHITECTURES])
     else:
         points = []
         for value in values:

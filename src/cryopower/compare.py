@@ -220,18 +220,6 @@ def sweep_loss(config: SystemConfig, device_counts: Sequence[int]) -> SweepResul
     return SweepResult(parameter="device_count", points=points)
 
 
-def _sweep_cells(config: SystemConfig, device_counts: Sequence[int]) -> list[list[tuple]]:
-    """The values of :func:`sweep_loss` on Python floats, without NumPy or result objects.
-
-    Per architecture (in :data:`ARCHITECTURES` order), one tuple of
-    :class:`cryopower.thermal._HeatGrid` fields per device count, each
-    bit-identical to :func:`sweep_loss` at that count.
-    """
-    counts = _device_axis(config, device_counts)
-    p_rx = [config.load.power_per_device * count for count in counts]
-    return [list(map(_heat_cell(arch, config), p_rx)) for arch in ARCHITECTURES]
-
-
 def _last_fitting(fits: Callable[[int], bool], lo: int, hi: int) -> int:
     """Largest count in [lo, hi) that fits, given that ``lo`` fits and ``hi`` does not."""
     while hi - lo > 1:
@@ -248,9 +236,12 @@ def _closed_form_count(
 ) -> int:
     # The cost p + cold(p) is b p + c p^2 and discriminant = sqrt(b^2 + 4 c B);
     # solve cost(p*) = budget with the root form that does not cancel when
-    # 4 c B << b^2 (and needs no branch for c = 0).
-    p_star = 2.0 * budget / (b + discriminant)
-    estimate = max(0, int(min(p_star / power_per_device, float(_MAX_DEVICES))))
+    # 4 c B << b^2 (and needs no branch for c = 0). Where b + discriminant <= 0
+    # the cost never rises, so every count fits; a NaN root gallops from 0.
+    if b + discriminant <= 0:
+        raise ValueError("device count under budget is unbounded")
+    devices = 2.0 * budget / (b + discriminant) / power_per_device
+    estimate = 0 if math.isnan(devices) else int(min(devices, float(_MAX_DEVICES)))
     # Rounding and the slack put the answer near the estimate, not on it.
     # Most answers are the estimate or the next count, so try those first;
     # otherwise gallop away to a bracket and bisect, in O(log error) steps.
@@ -293,7 +284,8 @@ def devices_under_budget(
 
     ``method`` selects the solver: the closed form (quadratic for wired
     rails, linear for wireless links) or integer bisection on the monotone
-    feasibility predicate. Both agree on every configuration. A count fits
+    feasibility predicate. Both agree on every configuration, validated or
+    not: the same count, or the same error. A count fits
     when its cost is within a slack of the budget that absorbs rounding:
     ``1e-12`` of the budget, capped at half the cost of one more device there.
     Each feasibility test is an :func:`architecture_loss_at` call on one
@@ -306,7 +298,7 @@ def devices_under_budget(
     if total_budget <= 0:
         raise ValueError(f"total_budget must be > 0, got {total_budget!r}")
     power_per_device = config.load.power_per_device
-    if power_per_device <= 0:
+    if not power_per_device > 0:
         raise ValueError(
             f"power_per_device must be > 0 to bound the device count, got {power_per_device!r}"
         )
@@ -339,7 +331,7 @@ def equivalent_wire_count(config: SystemConfig, reference: ArchitectureKind) -> 
     if not reference.is_wireless:
         raise ValueError(f"reference must be a wireless architecture, got {reference.label}")
     p_rx = config.load.delivered_power
-    if p_rx <= 0:
+    if not p_rx > 0:
         raise ValueError("configured delivered power must be > 0")
     reference_loss = architecture_loss_at(reference, config, p_rx).transmission_loss
     if reference_loss <= 0:
@@ -612,6 +604,9 @@ def optimize(
         raise ValueError(f"resolution must be >= 2, got {resolution!r}")
     if not _is_finite(resolution):  # an int past float range
         raise ValueError(f"resolution must be finite, got {resolution!r}")
+    if not _is_whole(resolution):
+        raise ValueError(f"resolution must be a whole number, got {resolution!r}")
+    resolution = int(resolution)
     for name, (lo, hi) in free_parameters.items():
         if name not in FREE_PARAMETER_NAMES:
             raise ValueError(

@@ -24,11 +24,6 @@ class ConfigError(ValueError):
         self.path = path
 
 
-def config_paths() -> tuple[str, ...]:
-    """All recognized dotted field paths, in declaration order."""
-    return tuple(_FIELD_KINDS)
-
-
 def _plain_number(text: str, convert=float):
     """``convert(text)``, for ``int`` or ``float``; a ``ValueError`` unless ``text`` is plain ASCII."""
     value = convert(text)
@@ -95,13 +90,13 @@ def serialize_config(config: SystemConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_config(text: str, base: SystemConfig | None = None) -> SystemConfig:
-    """Parse config text; keys not present keep their ``base`` (default) values.
+def parse_config(text: str) -> SystemConfig:
+    """Parse config text; keys not present keep their default values.
 
     Raises :class:`ConfigError` on unknown keys, duplicate keys, missing
     ``=`` separators, or unparseable values.
     """
-    config = default_config() if base is None else base
+    config = default_config()
     seen: set[str] = set()
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()

@@ -355,13 +355,3 @@ def validate(config: SystemConfig) -> ValidationResult:
             continue
         v.append(Violation(path, f"{problem}, got {value!r}"))
     return ValidationResult(tuple(v))
-
-
-def require_valid(config: SystemConfig) -> SystemConfig:
-    """Raise ``ValueError`` listing every violation if ``config`` is invalid."""
-    result = validate(config)
-    if not result.ok:
-        lines = "; ".join(str(item) for item in result.violations)
-        raise ValueError(f"invalid configuration: {lines}")
-    return config
-

@@ -29,17 +29,15 @@ def supply_noise(f: float, spec: NoiseSpec) -> float:
     return spec.s_white * (1.0 + spec.f_corner / f)
 
 
-def spur_shape(f: float, f_sw: float, half_width: float | None = None) -> float:
-    """Unit-area triangular bump centered at ``f_sw``, in 1/Hz.
+def spur_shape(f: float, f_sw: float) -> float:
+    """Unit-area triangular bump centered at ``f_sw``, in 1/Hz, of half-width 0.1 * f_sw.
 
-    The half-width defaults to 0.1 * f_sw. Returns 0 when no switching
-    frequency is configured.
+    Returns 0 when the half-width is not positive: no switching frequency
+    is configured, or a subnormal ``f_sw`` underflows it to 0.
     """
     if f <= 0:
         raise ValueError(f"frequency must be > 0, got {f!r}")
-    if f_sw <= 0:
-        return 0.0
-    w = 0.1 * f_sw if half_width is None else half_width
+    w = 0.1 * f_sw
     if w <= 0:
         return 0.0
     offset = abs(f - f_sw)

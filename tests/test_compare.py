@@ -25,8 +25,9 @@ from cryopower.compare import (
     scorecard,
     sweep_loss,
 )
+from cryopower.configio import set_value
 from cryopower.losses import architecture_loss_at
-from cryopower.model import ARCHITECTURES, ArchitectureKind, default_config
+from cryopower.model import ARCHITECTURES, ArchitectureKind, default_config, validate
 from cryopower.thermal import heat_budget
 
 from strategies import system_configs
@@ -105,13 +106,12 @@ class TestSweepLoss:
         with pytest.raises(ValueError):
             sweep_loss(default_config(), [0, 5])
 
-    @pytest.mark.parametrize("sweep", [sweep_loss, compare._sweep_cells])
     @pytest.mark.parametrize(
         "counts, bad", [([1.2, 1.7], "1.2"), ([1, math.nan], "nan"), ([1, math.inf], "inf")]
     )
-    def test_rejects_counts_that_are_not_whole_numbers(self, sweep, counts, bad):
+    def test_rejects_counts_that_are_not_whole_numbers(self, counts, bad):
         with pytest.raises(ValueError, match=f"^device counts must be whole numbers, got {bad}$"):
-            sweep(default_config(), counts)
+            sweep_loss(default_config(), counts)
 
     def test_integral_float_counts_become_ints(self):
         values = [point.value for point in sweep_loss(default_config(), [1.0, 2.0]).points]
@@ -123,10 +123,9 @@ class TestSweepLoss:
         assert result == sweep_loss(default_config(), range(1, 1001))
         assert all(type(point.value) is int for point in result.points)
 
-    @pytest.mark.parametrize("sweep", [sweep_loss, compare._sweep_cells])
-    def test_rejects_count_past_float_range(self, sweep):
+    def test_rejects_count_past_float_range(self):
         with pytest.raises(ValueError, match=f"^device counts must be finite, got {10**400}$"):
-            sweep(default_config(), [1, 10**400])
+            sweep_loss(default_config(), [1, 10**400])
 
 
 def _set_collector(enabled: bool) -> None:
@@ -488,6 +487,32 @@ class TestDevicesUnderBudget:
         with pytest.raises(ValueError, match=re.escape(f"total_budget must be finite, got {budget!r}")):
             devices_under_budget(A.WIRED, default_config(), budget, method)
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("load.power_per_device", math.nan),
+            ("load.v_rx", math.nan),
+            ("wire.resistance_warm", math.nan),
+            ("wire.wire_count", math.nan),
+            ("coupling.loss_to_cold_fraction", math.nan),
+            ("coupling.loss_to_cold_fraction", math.inf),
+            ("coupling.loss_to_cold_fraction", -2.0),  # radiative's cost falls with every device
+            ("converter.i_out", math.nan),
+        ],
+    )
+    def test_methods_agree_on_configs_validate_rejects(self, path, value):
+        cfg = set_value(default_config(), path, value)
+        assert not validate(cfg).ok
+
+        def solve(arch, method):
+            try:
+                return devices_under_budget(arch, cfg, 1.0, method)
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        for arch in ARCHITECTURES:
+            assert solve(arch, "closed_form") == solve(arch, "bisection"), arch
+
     def test_wireless_ratio_to_wired(self):
         cfg = default_config()
         best_wireless = max(
@@ -532,6 +557,11 @@ class TestEquivalentWireCount:
     def test_zero_load_rejected(self):
         cfg = replace(default_config(), load=replace(default_config().load, device_count=0))
         with pytest.raises(ValueError):
+            equivalent_wire_count(cfg, A.NON_RADIATIVE)
+
+    def test_nan_load_rejected(self):
+        cfg = set_value(default_config(), "load.power_per_device", math.nan)
+        with pytest.raises(ValueError, match="^configured delivered power must be > 0$"):
             equivalent_wire_count(cfg, A.NON_RADIATIVE)
 
     def test_matches_wired_loss_when_applied(self):
@@ -885,6 +915,22 @@ class TestOptimize:
         for free in ({"v_rx_hv": (2.0, 20.0)}, {"wire_count": (1, 10)}):
             with pytest.raises(ValueError, match=f"^resolution must be finite, got {10**400}$"):
                 optimize(cfg, free, A.HV_WIRED, resolution=10**400)
+
+    # A wire_count box wider than the resolution is sampled, like the v_rx_hv axis.
+    @pytest.mark.parametrize("free", [{"v_rx_hv": (2.0, 20.0)}, {"wire_count": (1, 2000)}])
+    def test_float_resolution(self, free):
+        cfg = default_config()
+        result = optimize(cfg, free, A.HV_WIRED, resolution=1000.0)
+        assert result == optimize(cfg, free, A.HV_WIRED, resolution=1000)
+        assert type(result.evaluations) is int
+        for resolution, message in [
+            (2.5, "resolution must be a whole number, got 2.5"),
+            (1.5, "resolution must be >= 2, got 1.5"),
+            (math.nan, "resolution must be finite, got nan"),
+            (math.inf, "resolution must be finite, got inf"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                optimize(cfg, free, A.HV_WIRED, resolution=resolution)
 
 
 def test_loss_paths_never_read_the_cooling_section():

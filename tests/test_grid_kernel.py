@@ -3,7 +3,7 @@
 Every grid reads ``thermal._heat_cell``. ``sweep_loss`` and the grids of
 ``optimize`` with more than ``compare._PYTHON_GRID_CELLS`` cells call it on
 NumPy arrays through the kernel ``thermal._heat_grid``, which adds NumPy's
-error checks; the CLI's sweeps (``compare._sweep_cells``), smaller
+error checks; the CLI's sweeps (``cli._sweep_rows``), smaller
 ``optimize`` grids (``compare._cell_trace``) and every golden-section probe
 call it on Python floats. The cell and the scalar path read the same loss
 evaluator, ``losses._loss_cell``: the scalar path at the configured point
@@ -31,13 +31,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cryopower import compare, losses, thermal
+from cryopower.cli import _sweep_rows
 from cryopower.compare import (
     ArchitectureEvaluation,
     OptimizationResult,
     SweepPoint,
     SweepResult,
     _golden_refine,
-    _sweep_cells,
     optimize,
     resolve_parameters,
     sweep_loss,
@@ -365,17 +365,10 @@ def test_sweep_matches_per_point_evaluation(cfg, counts, data):
         reference.append(SweepPoint(count, evaluations))
     result = sweep_loss(cfg, counts)
     assert bits(result) == bits(SweepResult("device_count", tuple(reference)))
-    cells = _sweep_cells(cfg, counts)
-    for arch_index, column in enumerate(cells):
-        for point, fields in zip(reference, column):
-            loss, thermal = point.evaluations[arch_index].loss, point.evaluations[arch_index].thermal
-            want = (
-                loss.transmission_loss,
-                loss.converter_loss,
-                loss.loss_at_cold_stage,
-                thermal.p_load,
-                thermal.q_total,
-                thermal.cop,
-                thermal.cooling_power,
-            )
-            assert bits(fields) == bits(want), (point.value, ARCHITECTURES[arch_index])
+    want = [
+        (point.value, arch.label, loss.transmission_loss, loss.converter_loss, loss.loss_at_cold_stage,
+         thermal.q_total, thermal.cooling_power)
+        for point in reference
+        for arch, (loss, thermal) in zip(ARCHITECTURES, point.evaluations)
+    ]
+    assert bits(_sweep_rows(cfg, "load.device_count", counts)) == bits(want)

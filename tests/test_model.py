@@ -17,7 +17,6 @@ from cryopower.model import (
     Violation,
     WireSpec,
     default_config,
-    require_valid,
     validate,
 )
 
@@ -195,12 +194,6 @@ class TestValidate:
     def test_deterministic(self):
         cfg = replace(default_config(), coupling=CouplingSpec(eta_coup_coil=0.0))
         assert validate(cfg) == validate(cfg)
-
-    def test_require_valid_raises(self):
-        cfg = replace(default_config(), coupling=CouplingSpec(eta_coup_coil=0.0))
-        with pytest.raises(ValueError, match="coupling.eta_coup_coil"):
-            require_valid(cfg)
-        assert require_valid(default_config()) == default_config()
 
 
 _PATHS = tuple(

@@ -1,5 +1,6 @@
 """Supply and rail noise-density model tests."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -54,10 +55,10 @@ class TestSpurShape:
         assert spur_shape(1.0, f_sw) == 0.0
 
     def test_no_switching_frequency_no_spur(self):
-        assert spur_shape(1e6, 0.0) == 0.0
-
-    def test_custom_half_width(self):
-        assert spur_shape(1e6, 1e6, half_width=1e3) == 1e-3
+        # 0.1 * 5e-324 underflows to 0.0; a NaN frequency would then divide by that zero.
+        for f_sw in (0.0, -0.0, -1.0, -math.inf, 5e-324):
+            assert spur_shape(1e6, f_sw) == 0.0
+            assert spur_shape(math.nan, f_sw) == 0.0
 
 
 class TestRailNoise:
