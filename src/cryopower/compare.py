@@ -422,29 +422,29 @@ def resolve_parameters(
     coupling is on, the converter input tracks the delivered HV rail
     (duty follows the ideal buck relation v_out/v_in). Rail voltages at or
     below the converter output cannot be bucked down, so such points carry
-    no converter stage.
+    no converter stage. Each changed section is replaced once, then the
+    config once; an empty assignment returns ``config`` itself.
     """
-    result = config
     for name in params:
         if name not in FREE_PARAMETER_NAMES:
             raise ValueError(
                 f"unknown free parameter {name!r} (expected one of {FREE_PARAMETER_NAMES})"
             )
+    sections = {}
     if "wire_count" in params:
-        result = replace(result, wire=replace(result.wire, wire_count=int(params["wire_count"])))
+        sections["wire"] = replace(config.wire, wire_count=int(params["wire_count"]))
     if "v_rx_hv" in params:
         v_hv = float(params["v_rx_hv"])
         if v_hv < config.load.v_rx:
             raise ValueError(f"v_rx_hv must be >= load.v_rx ({config.load.v_rx!r}), got {v_hv!r}")
-        result = replace(result, load=replace(result.load, v_rx_hv=v_hv))
-        conv = result.converter
+        sections["load"] = replace(config.load, v_rx_hv=v_hv)
+        conv = config.converter
         if couple_converter_input and carries_converter(arch, conv):
             if v_hv > conv.v_out:
-                conv = replace(conv, v_in=v_hv, duty=conv.v_out / v_hv)
+                sections["converter"] = replace(conv, v_in=v_hv, duty=conv.v_out / v_hv)
             else:
-                conv = replace(conv, include_loss=False)
-            result = replace(result, converter=conv)
-    return result
+                sections["converter"] = replace(conv, include_loss=False)
+    return replace(config, **sections) if sections else config
 
 
 def _golden_refine(
@@ -506,49 +506,50 @@ def _free_params(v: float | None, n: int | None) -> dict[str, float | int]:
     return params
 
 
-def _kernel_trace(
-    config: SystemConfig,
-    arch: ArchitectureKind,
-    v_grid,
-    n_grid: list,
-    couple_converter_input: bool,
-) -> tuple[list, int | None]:
+def _kernel_trace(fields: Callable[..., tuple], p_rx: float, v_grid, n_grid: list) -> tuple[list, int | None]:
     """The grid's strict improvements over the running minimum (v-major) and the last one's v index.
 
-    One grid-kernel call per block of whole ``v_rx_hv`` rows, taken in scan
-    order: a column of rails (a slice of the array, or the one rail or
-    ``None``) by the row of wire counts, at most ``_KERNEL_BLOCK_CELLS``
-    cells or one row. The running minimum and its row index carry from
-    block to block, so only one block's values are held at a time. NaN
-    cells never improve, as ``value < best`` skips them. Where a cell
-    divides by zero, :func:`_cell_trace` scans the grid instead.
+    One array call of the cell evaluator ``fields`` per block of whole
+    ``v_rx_hv`` rows, taken in scan order: a column of rails (a slice of
+    the array, or ``None``) by the row of wire counts, at most
+    ``_KERNEL_BLOCK_CELLS`` cells or one row, all under one set of NumPy's
+    floating-point error checks. The running minimum and its row index
+    carry from block to block, so only one block's values are held at a
+    time, and each block's improvements are built for the box's shape
+    alone. NaN cells never improve, as ``value < best`` skips them. Where
+    a cell divides by zero, :func:`_cell_trace` scans the grid instead.
     """
     import numpy as np  # loaded on first grid call, off the CLI cold path
 
-    p_rx = config.load.delivered_power
     v_axis = None if v_grid[0] is None else np.asarray(v_grid, dtype=float)
     n_row = None if n_grid[0] is None else np.array(n_grid)
-    rows = max(1, _KERNEL_BLOCK_CELLS // len(n_grid))
+    width = len(n_grid)
+    rows = max(1, _KERNEL_BLOCK_CELLS // width)
     trace, best, index = [], math.inf, None
-    for start in range(0, len(v_grid), rows):
-        v_column = None if v_axis is None else v_axis[start : start + rows, None]
-        try:
-            cooling = _heat_grid(arch, config, p_rx, v_column, n_row, couple_converter_input).cooling_power
-        except FloatingPointError:
-            # A cell divides by zero: the single-point path raises there too, or
-            # the division sits in a converter branch that it never takes.
-            fields = _heat_cell(arch, config, couple_converter_input)
-            return _cell_trace(fields, p_rx, [None] if v_axis is None else v_axis.tolist(), n_grid)
-        values = np.broadcast_to(cooling, (min(rows, len(v_grid) - start), len(n_grid))).ravel()
-        running = np.fmin.accumulate(np.concatenate(([best], values)))
-        improved = np.flatnonzero(values < running[:-1])
-        if improved.size:
-            v_index, n_index = np.divmod(improved, len(n_grid))
-            v_index += start
-            picked_v = repeat(None) if v_axis is None else v_axis[v_index].tolist()
-            params = map(_free_params, picked_v, map(n_grid.__getitem__, n_index.tolist()))
-            trace += zip(params, values[improved].tolist())
-            best, index = running[-1], int(v_index[-1])
+    try:
+        with np.errstate(divide="raise", over="ignore", under="ignore", invalid="ignore"):
+            for start in range(0, len(v_grid), rows):
+                v_column = None if v_axis is None else v_axis[start : start + rows, None]
+                cooling = fields(p_rx, v_column, n_row)[-1]
+                values = np.broadcast_to(cooling, (min(rows, len(v_grid) - start), width)).ravel()
+                running = np.fmin.accumulate(np.concatenate(([best], values)))
+                improved = np.flatnonzero(values < running[:-1])
+                if not improved.size:
+                    continue
+                costs = values[improved].tolist()
+                if n_row is None:  # a rail axis alone
+                    trace += [({"v_rx_hv": v}, cost) for v, cost in zip(v_axis[improved + start].tolist(), costs)]
+                elif v_axis is None:  # a wire-count axis alone, in one block
+                    trace += [({"wire_count": n}, cost) for n, cost in zip(n_row[improved].tolist(), costs)]
+                else:
+                    v_index, n_index = np.divmod(improved, width)
+                    picked = zip(v_axis[v_index + start].tolist(), n_row[n_index].tolist(), costs)
+                    trace += [({"v_rx_hv": v, "wire_count": n}, cost) for v, n, cost in picked]
+                best, index = running[-1], start + int(improved[-1]) // width
+    except FloatingPointError:
+        # A cell divides by zero: the single-point path raises there too, or
+        # the division sits in a converter branch that it never takes.
+        return _cell_trace(fields, p_rx, [None] if v_axis is None else v_axis.tolist(), n_grid)
     return trace, index
 
 
@@ -585,15 +586,15 @@ def optimize(
     refinement of the continuous axis around the best grid cell. Ties break
     toward smaller parameter values; the scan order makes that deterministic.
 
-    A grid of more than ``_PYTHON_GRID_CELLS`` cells goes through the grid
-    kernel (:func:`cryopower.thermal._heat_grid`): one call per block of
-    whole ``v_rx_hv`` rows, each over every wire count and at most
-    ``_KERNEL_BLOCK_CELLS`` cells or one row, in scan order; its ``v_rx_hv``
-    axis comes from ``numpy.linspace``, which :func:`_linspace` equals bit
-    for bit. A smaller grid is scanned on Python floats, one cell at a time,
-    without loading NumPy, and so is each golden-section probe. Both read
-    the one cell evaluator :func:`cryopower.thermal._heat_cell`: the kernel
-    on arrays, the scan and the probes on floats. Every value is
+    The call builds one cell evaluator, :func:`cryopower.thermal._heat_cell`,
+    and every grid cell and probe reads it. A grid of more than
+    ``_PYTHON_GRID_CELLS`` cells goes through the kernel
+    (:func:`_kernel_trace`): one array call per block of whole ``v_rx_hv``
+    rows, each over every wire count and at most ``_KERNEL_BLOCK_CELLS``
+    cells or one row, in scan order; its ``v_rx_hv`` axis comes from
+    ``numpy.linspace``, which :func:`_linspace` equals bit for bit. A
+    smaller grid is scanned on Python floats, one cell at a time, without
+    loading NumPy, and so is each golden-section probe. Every value is
     bit-identical to the single-point path (:func:`resolve_parameters` and
     :func:`cryopower.thermal.heat_budget`); the first grid cell still runs
     through it, so an invalid config raises the same error.
@@ -656,10 +657,8 @@ def optimize(
     # The grid evaluators skip input checks; the single-point path raises them here.
     heat_budget(arch, resolve_parameters(config, arch, _free_params(v_grid[0], n_grid[0]), couple_converter_input))
     fields, p_rx = _heat_cell(arch, config, couple_converter_input), config.load.delivered_power
-    if evaluations <= _PYTHON_GRID_CELLS:
-        trace, index = _cell_trace(fields, p_rx, v_grid, n_grid)
-    else:
-        trace, index = _kernel_trace(config, arch, v_grid, n_grid, couple_converter_input)
+    scan = _cell_trace if evaluations <= _PYTHON_GRID_CELLS else _kernel_trace
+    trace, index = scan(fields, p_rx, v_grid, n_grid)
     if not trace:
         raise ValueError(f"{arch.label}: every grid cell's cooling power is inf or NaN")
     best_params, best_value = dict(trace[-1][0]), trace[-1][1]

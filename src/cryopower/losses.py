@@ -176,7 +176,7 @@ def _loss_cell(
                 import numpy as np  # only array grids reach here
 
                 carried = v_rx_hv > v_out
-                if np.any(carried):  # as in resolve_parameters, only a carried stage checks its spec
+                if carried.any():  # as in resolve_parameters, only a carried stage checks its spec
                     eta = _buck_efficiency(conv, v_rx_hv, v_out / v_rx_hv)
                     converter = p_rx * np.where(carried, 1.0 / eta - 1.0, 0.0)
         if rail is None:

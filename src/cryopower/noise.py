@@ -24,7 +24,7 @@ class NoiseDensity(NamedTuple):
 
 def supply_noise(f: float, spec: NoiseSpec) -> float:
     """Supply noise density s_white * (1 + f_corner/f) in V^2/Hz."""
-    if f <= 0:
+    if not f > 0:
         raise ValueError(f"frequency must be > 0, got {f!r}")
     return spec.s_white * (1.0 + spec.f_corner / f)
 
@@ -35,7 +35,7 @@ def spur_shape(f: float, f_sw: float) -> float:
     Returns 0 when the half-width is not positive: no switching frequency
     is configured, or a subnormal ``f_sw`` underflows it to 0.
     """
-    if f <= 0:
+    if not f > 0:
         raise ValueError(f"frequency must be > 0, got {f!r}")
     w = 0.1 * f_sw
     if w <= 0:
@@ -65,7 +65,7 @@ def rail_noise(arch: ArchitectureKind, f: float, config: SystemConfig) -> float:
     """
     spec = config.noise
     if arch._rail is None:
-        if f <= 0:
+        if not f > 0:
             raise ValueError(f"frequency must be > 0, got {f!r}")
         return spec.s_white * spec.wireless_floor_ratio
     if arch._rail == "v_rx":

@@ -97,12 +97,12 @@ def _heat_grid(
     wire_count=None,
     couple_converter_input: bool = True,
 ) -> _HeatGrid:
-    """The fields of :func:`heat_budget_at` over a broadcast grid, in one pass.
+    """The fields of :func:`heat_budget_at` over a broadcast grid, in one pass (``sweep_loss``'s kernel).
 
     ``p_rx``, ``v_rx_hv`` and ``wire_count`` are floats or NumPy arrays that
-    broadcast together; this is one :func:`_heat_cell` call, and so one call
-    of the loss evaluator :func:`cryopower.losses._loss_cell`, under NumPy's
-    floating-point error checks. Where a cell divides a nonzero value by zero
+    broadcast together; this builds one :func:`_heat_cell` and calls it
+    once under NumPy's floating-point error checks, as ``optimize``'s
+    kernel calls its own evaluator. Where a cell divides a nonzero value by zero
     (the scalar path raises ``ZeroDivisionError`` there, unless the division
     sits in a converter branch it never takes), the kernel raises
     ``FloatingPointError``.

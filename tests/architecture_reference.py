@@ -5,7 +5,9 @@ each ``ArchitectureKind`` member declared its rail, link and converter flag:
 ``carries_converter``, ``is_wireless``, ``white_floor_ratio``, ``rail_noise``
 and the scalar loss path of ``architecture_loss_at``, as they were at
 commit 30c5f84. Do not edit them to follow a change in ``cryopower``: a
-difference is a change of behaviour.
+difference is a change of behaviour. The one edit since is deliberate: the
+wireless frequency guard of ``rail_noise`` rejects NaN (``not f > 0``), as
+``supply_noise``, which the wired branches call, does too.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ def rail_noise(arch: ArchitectureKind, f: float, config: SystemConfig) -> float:
         step_down = config.load.v_rx_hv / config.load.v_rx
         spur = spec.switching_spur * spur_shape(f, config.converter.f_sw)
         return supply_noise(f, spec) / step_down + spur
-    if f <= 0:
+    if not f > 0:
         raise ValueError(f"frequency must be > 0, got {f!r}")
     return spec.s_white * spec.wireless_floor_ratio
 

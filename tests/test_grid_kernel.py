@@ -1,9 +1,10 @@
 """Differential tests: the one grid evaluator against the single-point scalar path, bit for bit.
 
-Every grid reads ``thermal._heat_cell``. ``sweep_loss`` and the grids of
-``optimize`` with more than ``compare._PYTHON_GRID_CELLS`` cells call it on
-NumPy arrays through the kernel ``thermal._heat_grid``, which adds NumPy's
-error checks; the CLI's sweeps (``cli._sweep_rows``), smaller
+Every grid reads ``thermal._heat_cell``. ``sweep_loss`` calls it on NumPy
+arrays through the kernel ``thermal._heat_grid``, and the grids of
+``optimize`` with more than ``compare._PYTHON_GRID_CELLS`` cells through
+``compare._kernel_trace``, each under NumPy's error checks; the CLI's
+sweeps (``cli._sweep_rows``), smaller
 ``optimize`` grids (``compare._cell_trace``) and every golden-section probe
 call it on Python floats. The cell and the scalar path read the same loss
 evaluator, ``losses._loss_cell``: the scalar path at the configured point
@@ -309,19 +310,46 @@ def test_large_grid_identical_at_every_block_size(monkeypatch):
 @pytest.mark.parametrize("block_cells, rails", [(compare._KERNEL_BLOCK_CELLS, 65), (500, 1)])
 def test_kernel_takes_blocks_of_whole_rail_rows_in_scan_order(block_cells, rails, monkeypatch):
     # 1000 x 1000 cells: 65 rails by every wire count a block, or one row a block when a row outgrows it.
+    # The kernel calls optimize's cell evaluator on arrays; the golden-section probes call it on floats.
     calls = []
+    heat_cell = compare._heat_cell
 
-    def recording(arch, config, p_rx, v_column, n_row, couple):
-        calls.append((v_column.ravel().tolist(), n_row.tolist()))
-        return _heat_grid(arch, config, p_rx, v_column, n_row, couple)
+    def recording_cell(*args):
+        fields = heat_cell(*args)
+
+        def recording(p_rx, v_rx_hv=None, wire_count=None):
+            if isinstance(v_rx_hv, np.ndarray):
+                calls.append((v_rx_hv.ravel().tolist(), wire_count.tolist()))
+            return fields(p_rx, v_rx_hv, wire_count)
+
+        return recording
 
     monkeypatch.setattr(compare, "_KERNEL_BLOCK_CELLS", block_cells)
-    monkeypatch.setattr(compare, "_heat_grid", recording)
+    monkeypatch.setattr(compare, "_heat_cell", recording_cell)
     box = {"v_rx_hv": (2.0, 200.0), "wire_count": (1, 1000)}
     optimize(default_config(), box, ArchitectureKind.HV_WIRED, resolution=1000)
     assert [len(v_column) for v_column, _ in calls[:-1]] == [rails] * (len(calls) - 1)
     assert [v for v_column, _ in calls for v in v_column] == np.linspace(2.0, 200.0, 1000).tolist()
     assert all(n_row == list(range(1, 1001)) for _, n_row in calls)
+
+
+@pytest.mark.parametrize(
+    "box", [{"v_rx_hv": (2.0, 200.0)}, {"v_rx_hv": (2.0, 200.0), "wire_count": (1, 1000)}], ids=["1d", "2d"]
+)
+def test_kernel_optimize_builds_one_cell_evaluator(box, monkeypatch):
+    # One kernel block or 16: the kernel reads the one cell evaluator optimize built. The other
+    # loss evaluator is the first grid cell's check on the single-point path.
+    builds = []
+    seams = ((compare, "_heat_cell"), (thermal, "_heat_cell"), (thermal, "_loss_cell"), (losses, "_loss_cell"))
+    for module, name in seams:
+
+        def counting(*args, name=name, build=getattr(module, name), **kwargs):
+            builds.append(name)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    optimize(default_config(), box, ArchitectureKind.HV_WIRED, resolution=1000)
+    assert (builds.count("_heat_cell"), builds.count("_loss_cell")) == (1, 2)
 
 
 def test_default_2d_grid_holds_one_block_at_a_time():

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cryopower.model import ArchitectureKind, default_config
+from cryopower.model import ARCHITECTURES, ArchitectureKind, default_config
 from cryopower.noise import (
     rail_noise,
     rail_noise_density,
@@ -29,9 +29,9 @@ class TestSupplyNoise:
         spec = default_config().noise
         assert supply_noise(spec.f_corner / 10.0, spec) == 11.0 * spec.s_white
 
-    @pytest.mark.parametrize("f", [0.0, -1.0])
+    @pytest.mark.parametrize("f", [0.0, -1.0, math.nan])
     def test_domain_error(self, f):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="frequency must be > 0"):
             supply_noise(f, default_config().noise)
 
 
@@ -55,10 +55,11 @@ class TestSpurShape:
         assert spur_shape(1.0, f_sw) == 0.0
 
     def test_no_switching_frequency_no_spur(self):
-        # 0.1 * 5e-324 underflows to 0.0; a NaN frequency would then divide by that zero.
+        # 0.1 * 5e-324 underflows to 0.0; a NaN frequency is rejected before it could divide by that zero.
         for f_sw in (0.0, -0.0, -1.0, -math.inf, 5e-324):
             assert spur_shape(1e6, f_sw) == 0.0
-            assert spur_shape(math.nan, f_sw) == 0.0
+            with pytest.raises(ValueError, match="frequency must be > 0, got nan"):
+                spur_shape(math.nan, f_sw)
 
 
 class TestRailNoise:
@@ -106,6 +107,11 @@ class TestRailNoise:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             rail_noise(ArchitectureKind.RADIATIVE, 0.0, default_config())
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES, ids=lambda arch: arch.label)
+    def test_nan_frequency_rejected(self, arch):
+        with pytest.raises(ValueError, match="frequency must be > 0, got nan"):
+            rail_noise(arch, math.nan, default_config())
 
     def test_density_wrapper(self):
         point = rail_noise_density(ArchitectureKind.WIRED, 100.0, default_config())
