@@ -20,7 +20,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 from .losses import LossBreakdown, _cost_terms, _loss_cell, architecture_loss_at, carries_converter
 from .model import ARCHITECTURES, ArchitectureKind, SystemConfig, _dataclass_compatible, _is_finite
 from .noise import white_floor_ratio
-from .thermal import ThermalBudget, _heat_cell, _heat_grid, budget_from_loss, heat_budget
+from .thermal import ThermalBudget, _heat_cell, budget_from_loss, heat_budget
 
 # Relative slack absorbing last-ulp rounding when an operating point lands
 # exactly on the budget boundary. The solvers cap it at half of what one
@@ -44,6 +44,10 @@ _PYTHON_GRID_CELLS = 256
 # takes 16 calls of 0.5 MB temporaries, where a single call grew RSS by about
 # 32 MB. A row longer than this is one block.
 _KERNEL_BLOCK_CELLS = 1 << 16
+
+# NumPy's error policy around every array call of the cell evaluator (sweep_loss, optimize's kernel): a
+# division by zero raises FloatingPointError, as a float cell raises ZeroDivisionError; the rest pass as on floats.
+_ARRAY_ERRORS = {"divide": "raise", "over": "ignore", "under": "ignore", "invalid": "ignore"}
 
 FREE_PARAMETER_NAMES = ("v_rx_hv", "wire_count")
 
@@ -165,11 +169,11 @@ _SWEEP_BUILD = RLock()
 def sweep_loss(config: SystemConfig, device_counts: Sequence[int]) -> SweepResult:
     """Evaluate all five architectures at each device count.
 
-    The whole device axis goes through the grid kernel
-    (:func:`cryopower.thermal._heat_grid`) in one call per architecture, and
-    every value is bit-identical to :func:`evaluate_architecture` at that
-    count; the first count also runs through :func:`evaluate_architecture`,
-    so an invalid config raises the same error.
+    The whole device axis goes through the array entry point
+    :func:`cryopower.thermal._heat_cell`, one call per architecture under
+    ``_ARRAY_ERRORS``, and every value is bit-identical to
+    :func:`evaluate_architecture` at that count; the first count also runs
+    through it, so an invalid config raises the same error.
 
     The cyclic garbage collector is paused while the result records are
     built, and the one collection it held back, if any, runs before the call
@@ -185,13 +189,14 @@ def sweep_loss(config: SystemConfig, device_counts: Sequence[int]) -> SweepResul
     p_axis = np.array(p_rx)
     stage = config.stage
 
+    with np.errstate(**_ARRAY_ERRORS):
+        grids = [_heat_cell(arch, config)(p_axis) for arch in ARCHITECTURES]
     # Records are built as tuple.__new__(cls, fields), without a Python-level __new__ per record.
     per_arch = []
-    for arch in ARCHITECTURES:
+    for arch, grid in zip(ARCHITECTURES, grids):
         # Fields the axis does not move (wire load, COP, a missing converter stage) are floats.
         trans, conv, cold, p_load, q_total, cop, cooling = (
-            field.tolist() if isinstance(field, np.ndarray) else repeat(field)
-            for field in _heat_grid(arch, config, p_axis)
+            field.tolist() if isinstance(field, np.ndarray) else repeat(field) for field in grid
         )
         losses = map(tuple.__new__, repeat(LossBreakdown), zip(repeat(arch), p_rx, trans, conv, cold))
         budgets = map(
@@ -509,15 +514,16 @@ def _free_params(v: float | None, n: int | None) -> dict[str, float | int]:
 def _kernel_trace(fields: Callable[..., tuple], p_rx: float, v_grid, n_grid: list) -> tuple[list, int | None]:
     """The grid's strict improvements over the running minimum (v-major) and the last one's v index.
 
-    One array call of the cell evaluator ``fields`` per block of whole
-    ``v_rx_hv`` rows, taken in scan order: a column of rails (a slice of
-    the array, or ``None``) by the row of wire counts, at most
-    ``_KERNEL_BLOCK_CELLS`` cells or one row, all under one set of NumPy's
-    floating-point error checks. The running minimum and its row index
-    carry from block to block, so only one block's values are held at a
-    time, and each block's improvements are built for the box's shape
-    alone. NaN cells never improve, as ``value < best`` skips them. Where
-    a cell divides by zero, :func:`_cell_trace` scans the grid instead.
+    One array call of ``fields``, the array entry point
+    :func:`cryopower.thermal._heat_cell` that ``optimize`` built, per block
+    of whole ``v_rx_hv`` rows, taken in scan order: a column of rails (a
+    slice of the array, or ``None``) by the row of wire counts, at most
+    ``_KERNEL_BLOCK_CELLS`` cells or one row, all under ``_ARRAY_ERRORS``.
+    The running minimum and its row index carry from block to block, so
+    only one block's values are held at a time, and each block's
+    improvements are built for the box's shape alone. NaN cells never
+    improve, as ``value < best`` skips them. Where a cell divides by zero,
+    :func:`_cell_trace` scans the grid instead.
     """
     import numpy as np  # loaded on first grid call, off the CLI cold path
 
@@ -527,7 +533,7 @@ def _kernel_trace(fields: Callable[..., tuple], p_rx: float, v_grid, n_grid: lis
     rows = max(1, _KERNEL_BLOCK_CELLS // width)
     trace, best, index = [], math.inf, None
     try:
-        with np.errstate(divide="raise", over="ignore", under="ignore", invalid="ignore"):
+        with np.errstate(**_ARRAY_ERRORS):
             for start in range(0, len(v_grid), rows):
                 v_column = None if v_axis is None else v_axis[start : start + rows, None]
                 cooling = fields(p_rx, v_column, n_row)[-1]

@@ -38,8 +38,6 @@ def spur_shape(f: float, f_sw: float) -> float:
     if not f > 0:
         raise ValueError(f"frequency must be > 0, got {f!r}")
     w = 0.1 * f_sw
-    if w <= 0:
-        return 0.0
     offset = abs(f - f_sw)
     if offset >= w:
         return 0.0

@@ -77,56 +77,21 @@ def heat_budget(arch: ArchitectureKind, config: SystemConfig) -> ThermalBudget:
     return heat_budget_at(arch, config, config.load.delivered_power)
 
 
-class _HeatGrid(NamedTuple):
-    """Loss and heat fields of one architecture over a grid (see :func:`_heat_grid`)."""
-
-    transmission_loss: float | np.ndarray
-    converter_loss: float | np.ndarray
-    loss_at_cold_stage: float | np.ndarray
-    p_load: float | np.ndarray
-    q_total: float | np.ndarray
-    cop: float
-    cooling_power: float | np.ndarray
-
-
-def _heat_grid(
-    arch: ArchitectureKind,
-    config: SystemConfig,
-    p_rx,
-    v_rx_hv=None,
-    wire_count=None,
-    couple_converter_input: bool = True,
-) -> _HeatGrid:
-    """The fields of :func:`heat_budget_at` over a broadcast grid, in one pass (``sweep_loss``'s kernel).
-
-    ``p_rx``, ``v_rx_hv`` and ``wire_count`` are floats or NumPy arrays that
-    broadcast together; this builds one :func:`_heat_cell` and calls it
-    once under NumPy's floating-point error checks, as ``optimize``'s
-    kernel calls its own evaluator. Where a cell divides a nonzero value by zero
-    (the scalar path raises ``ZeroDivisionError`` there, unless the division
-    sits in a converter branch it never takes), the kernel raises
-    ``FloatingPointError``.
-    """
-    import numpy as np  # loaded on first grid call, off the CLI cold path
-
-    with np.errstate(divide="raise", over="ignore", under="ignore", invalid="ignore"):
-        return _HeatGrid(*_heat_cell(arch, config, couple_converter_input)(p_rx, v_rx_hv, wire_count))
-
-
 def _heat_cell(
     arch: ArchitectureKind, config: SystemConfig, couple_converter_input: bool = True
 ) -> Callable[..., tuple]:
-    """The grid evaluator of ``arch``: ``fields(p_rx, v_rx_hv=None, wire_count=None)``.
+    """The one entry point of every grid, sweep and probe: ``fields(p_rx, v_rx_hv=None, wire_count=None)``.
 
-    A call returns the seven :class:`_HeatGrid` fields, those of
-    :func:`heat_budget_at` at that point: the three losses of the loss
-    evaluator :func:`cryopower.losses._loss_cell` (same inputs, same
-    converter coupling), then the wire load, the heat sum and the cooling
-    power. What no input moves (the COP, leak and electronics) is worked out
-    once, so every value is bit-identical to the scalar path. Inputs are not
-    checked; a float cell raises the scalar path's exception, such as
-    ``ZeroDivisionError``, at the call. A float rail, or none, never loads
-    NumPy.
+    Inputs are floats, or NumPy arrays that broadcast together; ``None``
+    keeps the configured rail or count. A call returns the seven fields of
+    :func:`heat_budget_at` there: ``transmission_loss``, ``converter_loss``,
+    ``loss_at_cold_stage`` (from :func:`cryopower.losses._loss_cell`, same
+    converter coupling), ``p_load``, ``q_total``, ``cop``, ``cooling_power``.
+    What no input moves is worked out once, so every value is bit-identical
+    to the scalar path. Inputs are not checked: a float cell raises the
+    scalar path's exception, such as ``ZeroDivisionError``, at the call, and
+    an array call raises under its caller's ``compare._ARRAY_ERRORS``. A
+    float rail, or none, never loads NumPy.
     """
     loss = _loss_cell(arch, config, couple_converter_input)
     per_wire, leak, electronics, cop = _stage_terms(arch, config)

@@ -3,8 +3,8 @@
 Every loss in ``src/`` comes from one loss evaluator, ``losses._loss_cell``.
 Three paths read it here: the scalar path (``architecture_loss_at``/
 ``heat_budget_at``) at the configured point, and the cell evaluator
-``thermal._heat_cell`` on NumPy arrays through the kernel
-``thermal._heat_grid`` and on Python floats; the cell also lets the
+``thermal._heat_cell`` on NumPy arrays, under ``compare._ARRAY_ERRORS`` as
+``sweep_loss`` calls it, and on Python floats; the cell also lets the
 converter input track a varied rail. The leaf functions (``wired_loss``,
 ``radiative_loss``, ``converter_loss``, ``carnot_cop``, ...) read none of
 them, so they are the independent reference here. ``resolve_parameters``
@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cryopower.compare import resolve_parameters
+from cryopower.compare import _ARRAY_ERRORS, resolve_parameters
 from cryopower.losses import (
     architecture_loss_at,
     converter_loss,
@@ -30,7 +30,7 @@ from cryopower.losses import (
     wired_loss,
 )
 from cryopower.model import ARCHITECTURES, ArchitectureKind, default_config
-from cryopower.thermal import _HeatGrid, _heat_cell, _heat_grid, carnot_cop, heat_budget_at
+from cryopower.thermal import _heat_cell, carnot_cop, heat_budget_at
 
 from strategies import finite, system_configs
 
@@ -43,6 +43,15 @@ WIRELESS = (A.RADIATIVE, A.NON_RADIATIVE, A.HV_NON_RADIATIVE)
 # drawn >= +0.0: at p = -0.0 a grid cell whose tracking converter dropped
 # reads -0.0 * 0 = -0.0 where the scalar path, with no stage, reads 0.0.
 powers = st.floats(0.0, 100.0)
+
+# The seven fields of a _heat_cell call, in order.
+FIELDS = ("transmission_loss", "converter_loss", "loss_at_cold_stage", "p_load", "q_total", "cop", "cooling_power")
+
+
+def array_fields(arch, cfg, couple, p, v, n):
+    """The cell evaluator's fields on arrays, by name, under the error policy of ``sweep_loss`` and ``optimize``."""
+    with np.errstate(**_ARRAY_ERRORS):
+        return dict(zip(FIELDS, _heat_cell(arch, cfg, couple)(p, v, n)))
 
 
 def rail_voltages(cfg):
@@ -85,12 +94,12 @@ def test_evaluators_match_leaf_formulas(cfg, arch, couple, data):
     p_list = data.draw(st.lists(powers, min_size=1, max_size=3))
     v_list = data.draw(st.lists(rail_voltages(cfg), min_size=1, max_size=3))
     n_list = data.draw(st.lists(st.integers(1, 64), min_size=1, max_size=3))
-    grid = _heat_grid(
-        arch, cfg, np.array(p_list)[:, None, None], np.array(v_list)[None, :, None],
-        np.array(n_list)[None, None, :], couple,
+    grid = array_fields(
+        arch, cfg, couple, np.array(p_list)[:, None, None], np.array(v_list)[None, :, None],
+        np.array(n_list)[None, None, :],
     )
     shape = (len(p_list), len(v_list), len(n_list))
-    fields = {name: np.broadcast_to(value, shape) for name, value in grid._asdict().items()}
+    fields = {name: np.broadcast_to(value, shape) for name, value in grid.items()}
     float_cell = _heat_cell(arch, cfg, couple)
     for i, j, k in np.ndindex(shape):
         p = p_list[i]
@@ -98,7 +107,7 @@ def test_evaluators_match_leaf_formulas(cfg, arch, couple, data):
         expected = leaf_values(arch, point, p)
         cell = {name: float(fields[name][i, j, k]) for name in expected}
         assert_matches(cell, expected, ("grid", i, j, k))
-        assert_matches(_HeatGrid(*float_cell(p, v_list[j], n_list[k]))._asdict(), expected, ("float", i, j, k))
+        assert_matches(dict(zip(FIELDS, float_cell(p, v_list[j], n_list[k]))), expected, ("float", i, j, k))
         loss = architecture_loss_at(arch, point, p)
         budget = heat_budget_at(arch, point, p)
         scalar = {
@@ -120,5 +129,5 @@ def test_tiny_rail_joule_loss_matches_leaf(arch, p):
     expected = wired_loss(p, 1e-160, r, n)
     assert math.isfinite(expected)
     assert architecture_loss_at(arch, cfg, p).transmission_loss.hex() == expected.hex()
-    grid = _heat_grid(arch, cfg, np.array([p]), np.array([1e-160]), np.array([n]), False)
-    assert float(grid.transmission_loss[0]).hex() == expected.hex()
+    grid = array_fields(arch, cfg, False, np.array([p]), np.array([1e-160]), np.array([n]))
+    assert float(grid["transmission_loss"][0]).hex() == expected.hex()

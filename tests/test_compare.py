@@ -141,19 +141,24 @@ class _ReadColumn(np.ndarray):
 
 def _read_first_column_through(monkeypatch, read) -> None:
     """Have the next sweep read its first transmission-loss column through ``read``; later sweeps run as shipped."""
-    heat_grid = compare._heat_grid
+    heat_cell = compare._heat_cell
     patched = []
 
-    def first_column_read(*args):
-        grid = heat_grid(*args)
-        if patched:
-            return grid
-        column = grid.transmission_loss.view(_ReadColumn)
-        column.read = read
-        patched.append(column)
-        return grid._replace(transmission_loss=column)
+    def first_column_cell(*args):
+        fields = heat_cell(*args)
 
-    monkeypatch.setattr(compare, "_heat_grid", first_column_read)
+        def first_column_read(*point):
+            grid = fields(*point)
+            if patched:
+                return grid
+            column = grid[0].view(_ReadColumn)
+            column.read = read
+            patched.append(column)
+            return (column, *grid[1:])
+
+        return first_column_read
+
+    monkeypatch.setattr(compare, "_heat_cell", first_column_cell)
 
 
 class TestSweepCollectorPause:

@@ -1,12 +1,11 @@
 """Differential tests: the one grid evaluator against the single-point scalar path, bit for bit.
 
 Every grid reads ``thermal._heat_cell``. ``sweep_loss`` calls it on NumPy
-arrays through the kernel ``thermal._heat_grid``, and the grids of
-``optimize`` with more than ``compare._PYTHON_GRID_CELLS`` cells through
-``compare._kernel_trace``, each under NumPy's error checks; the CLI's
-sweeps (``cli._sweep_rows``), smaller
-``optimize`` grids (``compare._cell_trace``) and every golden-section probe
-call it on Python floats. The cell and the scalar path read the same loss
+arrays, and the grids of ``optimize`` with more than
+``compare._PYTHON_GRID_CELLS`` cells through ``compare._kernel_trace``, each
+under ``compare._ARRAY_ERRORS``; the CLI's sweeps (``cli._sweep_rows``),
+smaller ``optimize`` grids (``compare._cell_trace``) and every
+golden-section probe call it on Python floats. The cell and the scalar path read the same loss
 evaluator, ``losses._loss_cell``: the scalar path at the configured point
 of a config that ``resolve_parameters`` built, the cell with the varied
 rail and wire count as call arguments and the converter coupling applied
@@ -24,7 +23,9 @@ whose square underflows to 0), and ``power_per_device = -0.0``.
 import enum
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -45,12 +46,24 @@ from cryopower.compare import (
 )
 from cryopower.losses import architecture_loss_at, carries_converter
 from cryopower.model import ARCHITECTURES, ArchitectureKind, default_config
-from cryopower.thermal import _HeatGrid, _heat_cell, _heat_grid, heat_budget, heat_budget_at
+from cryopower.thermal import _heat_cell, heat_budget, heat_budget_at
 
 from strategies import finite, system_configs
 
 # Grids stay at most 64 points a side so the 1000-example profile stays cheap.
 MAX_SIDE = 64
+
+
+class HeatFields(NamedTuple):
+    """The seven fields of one ``_heat_cell`` call, by name."""
+
+    transmission_loss: float
+    converter_loss: float
+    loss_at_cold_stage: float
+    p_load: float
+    q_total: float
+    cop: float
+    cooling_power: float
 
 
 def bits(value):
@@ -162,7 +175,7 @@ def scalar_fields(cfg, arch, p, v, n, couple):
     point = resolve_parameters(cfg, arch, _params_for(v, n), couple)
     loss = architecture_loss_at(arch, point, p)
     budget = heat_budget_at(arch, point, p)
-    return _HeatGrid(
+    return HeatFields(
         loss.transmission_loss,
         loss.converter_loss,
         loss.loss_at_cold_stage,
@@ -210,14 +223,15 @@ def test_heat_grid_matches_scalar_cell_by_cell(cfg, arch, couple, data):
     v = np.array(volts)[None, :, None]
     n = np.array(wires)[None, None, :]
     try:
-        grid = _heat_grid(arch, cfg, p, v, n, couple)
+        with np.errstate(**compare._ARRAY_ERRORS):
+            grid = _heat_cell(arch, cfg, couple)(p, v, n)
     except FloatingPointError:
         # The kernel raises where a cell divides a nonzero value by zero.
         assert ZeroDivisionError in expected.values()
         return
     fields = [np.broadcast_to(value, shape) for value in grid]
     for (i, j, k), want in expected.items():
-        got = _HeatGrid(*(float(field[i, j, k]) for field in fields))
+        got = HeatFields(*(float(field[i, j, k]) for field in fields))
         if want is ZeroDivisionError:
             # To NumPy 0/0 is NaN, not a division by zero: p * p is 0 on a rail whose square is 0.
             assert powers[i] * powers[i] == 0.0 and math.isnan(got.cooling_power)
@@ -254,12 +268,12 @@ def test_heat_cell_matches_scalar_cell_by_cell(cfg, arch, couple, data):
     for p in powers + [cfg.load.delivered_power]:
         for v in volts:
             for n in wires + [None]:
-                got = outcome(lambda: _HeatGrid._make(fields(p, v, n)))
+                got = outcome(lambda: HeatFields._make(fields(p, v, n)))
                 assert got == outcome(scalar_fields, cfg, arch, p, v, n, couple), (p, v, n)
 
 
 def test_float_cell_builds_no_result_record(monkeypatch):
-    # A float cell computes on floats: no _HeatGrid and no LossBreakdown.
+    # A float cell computes on floats: no ThermalBudget and no LossBreakdown.
     cfg = default_config()
     cfg = replace(cfg, converter=replace(cfg.converter, attach_hv_nonradiative=True))
     v_out, p = cfg.converter.v_out, cfg.load.delivered_power
@@ -268,7 +282,7 @@ def test_float_cell_builds_no_result_record(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a cell built a record")
 
-    monkeypatch.setattr(thermal, "_HeatGrid", forbidden)
+    monkeypatch.setattr(thermal, "ThermalBudget", forbidden)
     monkeypatch.setattr(losses, "LossBreakdown", forbidden)
     for fields, arch in cells:
         for v in (None, 2.0 * v_out, v_out, 0.5 * v_out):  # a tracking stage above, at and below v_out
@@ -400,3 +414,28 @@ def test_sweep_matches_per_point_evaluation(cfg, counts, data):
         for arch, (loss, thermal) in zip(ARCHITECTURES, point.evaluations)
     ]
     assert bits(_sweep_rows(cfg, "load.device_count", counts)) == bits(want)
+
+
+def test_array_calls_overflow_quietly_under_the_error_policy():
+    # A tiny rail under a large delivered power: the Joule term overflows to inf in some cells and
+    # not in others. NumPy warns on that overflow unless the caller sets compare._ARRAY_ERRORS;
+    # here a warning is an error, in sweep_loss and in an optimize grid that takes the kernel.
+    cfg = default_config()
+    cfg = replace(cfg, load=replace(cfg.load, v_rx=1e-153, power_per_device=1e-3))
+    arch, box, resolution = ArchitectureKind.HV_WIRED, {"v_rx_hv": (1e-153, 4e-153)}, 300
+    counts = range(1, 1001)
+    assert resolution > compare._PYTHON_GRID_CELLS
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        swept = sweep_loss(cfg, counts)
+        optimized = optimize(cfg, box, arch, resolution=resolution)
+    wired = [point.evaluations[0].thermal.cooling_power for point in swept.points]
+    assert math.isinf(wired[-1]) and math.isfinite(wired[0])
+    corners = [heat_budget(arch, resolve_parameters(cfg, arch, {"v_rx_hv": v})).cooling_power for v in box["v_rx_hv"]]
+    assert math.isinf(corners[0]) and math.isfinite(corners[1])
+    reference = []
+    for count in counts:
+        point = replace(cfg, load=replace(cfg.load, device_count=count))
+        reference.append(SweepPoint(count, tuple(compare.evaluate_architecture(a, point) for a in ARCHITECTURES)))
+    assert bits(swept) == bits(SweepResult("device_count", tuple(reference)))
+    assert bits(optimized) == bits(reference_optimize(cfg, box, arch, resolution, True))

@@ -56,8 +56,10 @@ class TestSpurShape:
 
     def test_no_switching_frequency_no_spur(self):
         # 0.1 * 5e-324 underflows to 0.0; a NaN frequency is rejected before it could divide by that zero.
+        # Every offset |f - f_sw| is at least a half-width that is not positive, so the bump is 0.0.
         for f_sw in (0.0, -0.0, -1.0, -math.inf, 5e-324):
-            assert spur_shape(1e6, f_sw) == 0.0
+            for f in (1e-300, 1.0, 1e6, math.inf):
+                assert spur_shape(f, f_sw) == 0.0, (f, f_sw)
             with pytest.raises(ValueError, match="frequency must be > 0, got nan"):
                 spur_shape(math.nan, f_sw)
 
