@@ -3,9 +3,9 @@
 Reads an optional config file (strict ``section.field = value`` format),
 applies command-line overrides, and emits deterministic CSV or JSON on
 stdout. Diagnostics go to stderr. Exit codes: 0 success, 1 invalid
-configuration, 2 malformed invocation, 3 I/O failure. No environment
-variables are consulted; a run is reproducible from its invocation and
-config file alone.
+configuration, 2 malformed invocation, 3 I/O failure (a config file that
+cannot be read or is not UTF-8). No environment variables are consulted;
+a run is reproducible from its invocation and config file alone.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from json.encoder import encode_basestring_ascii
 
 from .compare import (
     FREE_PARAMETER_NAMES,
-    ArchitectureEvaluation,
     _linspace,
     evaluate_architecture,
     devices_under_budget,
@@ -149,13 +148,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    sub.add_parser("defaults", help="print the default configuration as a config file")
+    p_defaults = sub.add_parser("defaults", help="print the default configuration as a config file")
+    p_defaults.set_defaults(handler=lambda args: serialize_config(default_config()))
 
     p_eval = sub.add_parser("evaluate", parents=[common], help="evaluate one architecture")
+    p_eval.set_defaults(handler=_run_evaluate)
     p_eval.add_argument("--arch", required=True, choices=ARCH_LABELS)
     p_eval.add_argument("--devices", type=_nonneg_int, help="override load.device_count")
 
     p_sweep = sub.add_parser("sweep", parents=[common], help="sweep a parameter over a range")
+    p_sweep.set_defaults(handler=_run_sweep)
     p_sweep.add_argument(
         "--param",
         default="device_count",
@@ -166,6 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--steps", type=_positive_int, required=True)
 
     p_cmp = sub.add_parser("compare", parents=[common], help="tabulate all architectures")
+    p_cmp.set_defaults(handler=_run_compare)
     p_cmp.add_argument("--devices", type=_positive_int, help="operating device count")
     p_cmp.add_argument(
         "--budget",
@@ -174,6 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_opt = sub.add_parser("optimize", parents=[common], help="search the design space")
+    p_opt.set_defaults(handler=_run_optimize)
     p_opt.add_argument("--arch", required=True, choices=ARCH_LABELS)
     p_opt.add_argument(
         "--free",
@@ -207,7 +211,7 @@ def _load_config(args: argparse.Namespace) -> SystemConfig:
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise CliError(f"cannot read config file: {exc}", EXIT_IO_ERROR) from exc
         try:
             config = parse_config(text)
@@ -224,55 +228,42 @@ def _require_valid(config: SystemConfig) -> None:
         raise CliError(lines, EXIT_INVALID_CONFIG)
 
 
-def _evaluation_fields(evaluation: ArchitectureEvaluation) -> dict[str, Any]:
-    loss, thermal = evaluation.loss, evaluation.thermal
-    return {
-        "delivered_power_w": loss.delivered_power,
-        "transmission_loss_w": loss.transmission_loss,
-        "converter_loss_w": loss.converter_loss,
-        "loss_at_cold_stage_w": loss.loss_at_cold_stage,
-        "p_load_w": thermal.p_load,
-        "q_ambient_w": thermal.q_ambient,
-        "q_electronics_w": thermal.q_electronics,
-        "q_total_w": thermal.q_total,
-        "cop": thermal.cop,
-        "cooling_power_w": thermal.cooling_power,
-    }
-
-
 def _run_evaluate(args: argparse.Namespace) -> str:
     config = _load_config(args)
     if args.devices is not None:
         config = set_value(config, "load.device_count", args.devices)
         _require_valid(config)
     arch = ArchitectureKind.from_label(args.arch)
-    evaluation = evaluate_architecture(arch, config)
-    fields = _evaluation_fields(evaluation)
+    loss, thermal = evaluate_architecture(arch, config)
+    loss_fields = {
+        "delivered_power_w": loss.delivered_power,
+        "transmission_loss_w": loss.transmission_loss,
+        "converter_loss_w": loss.converter_loss,
+        "loss_at_cold_stage_w": loss.loss_at_cold_stage,
+    }
+    thermal_fields = {
+        "p_load_w": thermal.p_load,
+        "p_loss_cold_w": thermal.p_loss_cold,
+        "q_ambient_w": thermal.q_ambient,
+        "q_electronics_w": thermal.q_electronics,
+        "q_total_w": thermal.q_total,
+        "cop": thermal.cop,
+        "cooling_power_w": thermal.cooling_power,
+    }
     noise_ratio = white_floor_ratio(arch, config)
     if args.output_format == "json":
         payload = {
             "architecture": arch.label,
             "device_count": config.load.device_count,
-            "loss": {
-                "delivered_power_w": fields["delivered_power_w"],
-                "transmission_loss_w": fields["transmission_loss_w"],
-                "converter_loss_w": fields["converter_loss_w"],
-                "loss_at_cold_stage_w": fields["loss_at_cold_stage_w"],
-            },
-            "thermal": {
-                "p_load_w": fields["p_load_w"],
-                "p_loss_cold_w": fields["loss_at_cold_stage_w"],
-                "q_ambient_w": fields["q_ambient_w"],
-                "q_electronics_w": fields["q_electronics_w"],
-                "q_total_w": fields["q_total_w"],
-                "cop": fields["cop"],
-                "cooling_power_w": fields["cooling_power_w"],
-            },
+            "loss": loss_fields,
+            "thermal": thermal_fields,
             "noise_floor_ratio": noise_ratio,
         }
         return json.dumps(payload, indent=2) + "\n"
-    header = ["architecture", "device_count"] + list(fields) + ["noise_floor_ratio"]
-    row = [arch.label, config.load.device_count] + list(fields.values()) + [noise_ratio]
+    del thermal_fields["p_loss_cold_w"]  # the CSV row has loss_at_cold_stage_w once
+    fields = loss_fields | thermal_fields
+    header = ["architecture", "device_count", *fields, "noise_floor_ratio"]
+    row = [arch.label, config.load.device_count, *fields.values(), noise_ratio]
     return _csv_document(header, [row])
 
 
@@ -447,17 +438,7 @@ def _run_optimize(args: argparse.Namespace) -> str:
 def run(args: argparse.Namespace) -> tuple[int, str, str]:
     """Execute a parsed command line; returns (exit status, stdout document, stderr text)."""
     try:
-        if args.subcommand == "defaults":
-            return EXIT_OK, serialize_config(default_config()), ""
-        if args.subcommand == "evaluate":
-            return EXIT_OK, _run_evaluate(args), ""
-        if args.subcommand == "sweep":
-            return EXIT_OK, _run_sweep(args), ""
-        if args.subcommand == "compare":
-            return EXIT_OK, _run_compare(args), ""
-        if args.subcommand == "optimize":
-            return EXIT_OK, _run_optimize(args), ""
-        return EXIT_BAD_INVOCATION, "", f"error: unknown subcommand {args.subcommand!r}\n"
+        return EXIT_OK, args.handler(args), ""
     except CliError as exc:
         return exc.code, "", f"error: {exc}\n"
     except ZeroDivisionError as exc:
@@ -477,10 +458,6 @@ def main(argv: list[str] | None = None) -> int:
     if err:
         sys.stderr.write(err)
     return code
-
-
-def entry() -> None:  # pragma: no cover - console-script shim
-    raise SystemExit(main())
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -29,7 +29,7 @@ class LossBreakdown(NamedTuple):
 
 
 def _check_delivered(p_rx: float) -> None:
-    if p_rx < 0:
+    if not p_rx >= 0:
         raise ValueError(f"delivered power must be >= 0, got {p_rx!r}")
 
 
@@ -39,11 +39,11 @@ def _check_efficiency(name: str, eta: float) -> None:
 
 
 def _check_rail(v_rx: float, r_wire: float, n_wires: int) -> None:
-    if v_rx <= 0:
+    if not v_rx > 0:
         raise ValueError(f"rail voltage must be > 0, got {v_rx!r}")
-    if r_wire <= 0:
+    if not r_wire > 0:
         raise ValueError(f"wire resistance must be > 0, got {r_wire!r}")
-    if n_wires < 1:
+    if not n_wires >= 1:
         raise ValueError(f"wire count must be >= 1, got {n_wires!r}")
 
 
@@ -98,7 +98,7 @@ def dcdc_efficiency(spec: ConverterSpec) -> float:
 
 def _buck_efficiency(spec: ConverterSpec, v_in, duty):
     """:func:`dcdc_efficiency` of ``spec`` at input ``v_in`` and ``duty`` (floats or arrays)."""
-    if spec.v_out <= 0:
+    if not spec.v_out > 0:
         raise ValueError(f"converter output voltage must be > 0, got {spec.v_out!r}")
     conduction = spec.i_out * (spec.r_hs * duty + spec.r_ls * (1.0 - duty) + spec.r_l) / spec.v_out
     switching = 0.5 * v_in * (spec.t_r + spec.t_f) * spec.f_sw / spec.v_out

@@ -37,7 +37,7 @@ def carnot_cop(t_cold: float, t_ambient: float, eta_c: float) -> float:
     same COP. For ``eta_c``, a relative step above about 4.4e-16
     (``((1 + u) / (1 - u))**2 - 1`` with ``u = 2**-53``) always rises.
     """
-    if t_cold <= 0 or t_ambient <= t_cold:
+    if not 0 < t_cold < t_ambient:
         raise ValueError(
             f"temperatures must satisfy 0 < t_cold < t_ambient, got {t_cold!r}, {t_ambient!r}"
         )

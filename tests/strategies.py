@@ -21,6 +21,12 @@ def finite(lo: float, hi: float, **kwargs) -> st.SearchStrategy[float]:
     return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False, **kwargs)
 
 
+def rails_past_v_out(cfg: SystemConfig) -> st.SearchStrategy[float]:
+    """Rails from ``v_rx`` to past ``v_out``, with ``v_out`` itself (where the stage drops)."""
+    top = max(cfg.load.v_rx, cfg.converter.v_out)
+    return st.one_of(finite(cfg.load.v_rx, 20.0 * top), st.just(top))
+
+
 delivered_powers = finite(0.0, 100.0)
 positive_powers = finite(1e-9, 100.0)
 rail_voltages = finite(0.5, 50.0)

@@ -744,6 +744,17 @@ class TestExitCodes:
         assert code == EXIT_IO_ERROR
         assert "cannot read" in err
 
+    def test_config_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"load.v_rx = 2.0 # caf\xe9\n")
+        assert main(["evaluate", "--arch", "wired", "--config", str(path)]) == EXIT_IO_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: cannot read config file: 'utf-8' codec can't decode byte 0xe9 in position 21: "
+            "invalid continuation byte\n"
+        )
+
     def test_malformed_invocations(self, capsys):
         assert main([]) == EXIT_BAD_INVOCATION
         capsys.readouterr()

@@ -32,7 +32,7 @@ from cryopower.losses import (
 from cryopower.model import ARCHITECTURES, ArchitectureKind, default_config
 from cryopower.thermal import _heat_cell, carnot_cop, heat_budget_at
 
-from strategies import finite, system_configs
+from strategies import rails_past_v_out, system_configs
 
 A = ArchitectureKind
 # Written out, as the converter rule below is, rather than read from the code under test.
@@ -52,12 +52,6 @@ def array_fields(arch, cfg, couple, p, v, n):
     """The cell evaluator's fields on arrays, by name, under the error policy of ``sweep_loss`` and ``optimize``."""
     with np.errstate(**_ARRAY_ERRORS):
         return dict(zip(FIELDS, _heat_cell(arch, cfg, couple)(p, v, n)))
-
-
-def rail_voltages(cfg):
-    """Rails from ``v_rx`` to past ``v_out``, with ``v_out`` itself (where the stage drops)."""
-    top = max(cfg.load.v_rx, cfg.converter.v_out)
-    return st.one_of(finite(cfg.load.v_rx, 20.0 * top), st.just(top))
 
 
 def leaf_values(arch, point, p):
@@ -92,7 +86,7 @@ def test_evaluators_match_leaf_formulas(cfg, arch, couple, data):
     if data.draw(st.booleans()):  # rails can then reach v_out, where a tracking converter drops
         cfg = replace(cfg, load=replace(cfg.load, v_rx=min(cfg.load.v_rx, cfg.converter.v_out)))
     p_list = data.draw(st.lists(powers, min_size=1, max_size=3))
-    v_list = data.draw(st.lists(rail_voltages(cfg), min_size=1, max_size=3))
+    v_list = data.draw(st.lists(rails_past_v_out(cfg), min_size=1, max_size=3))
     n_list = data.draw(st.lists(st.integers(1, 64), min_size=1, max_size=3))
     grid = array_fields(
         arch, cfg, couple, np.array(p_list)[:, None, None], np.array(v_list)[None, :, None],

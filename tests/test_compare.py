@@ -518,6 +518,12 @@ class TestDevicesUnderBudget:
         for arch in ARCHITECTURES:
             assert solve(arch, "closed_form") == solve(arch, "bisection"), arch
 
+    @pytest.mark.parametrize("method", ["closed_form", "bisection"])
+    def test_nan_rail_raises_in_both_methods(self, method):
+        cfg = replace(default_config(), load=replace(default_config().load, v_rx=math.nan))
+        with pytest.raises(ValueError, match="^rail voltage must be > 0, got nan$"):
+            devices_under_budget(A.WIRED, cfg, 10.0, method)
+
     def test_wireless_ratio_to_wired(self):
         cfg = default_config()
         best_wireless = max(
@@ -581,6 +587,13 @@ class TestEquivalentWireCount:
 
 
 class TestScorecard:
+    def test_nan_power_per_device_raises(self):
+        cfg = replace(default_config(), load=replace(default_config().load, power_per_device=math.nan))
+        with pytest.raises(ValueError, match="^delivered power must be >= 0, got nan$"):
+            scorecard(cfg, 200)
+        with pytest.raises(ValueError, match="^delivered power must be >= 0, got nan$"):
+            sweep_loss(cfg, [200])
+
     def test_five_rows_sorted_by_cooling_power(self):
         report = scorecard(default_config(), 200)
         assert len(report.rows) == 5

@@ -48,7 +48,7 @@ from cryopower.losses import architecture_loss_at, carries_converter
 from cryopower.model import ARCHITECTURES, ArchitectureKind, default_config
 from cryopower.thermal import _heat_cell, heat_budget, heat_budget_at
 
-from strategies import finite, system_configs
+from strategies import finite, rails_past_v_out, system_configs
 
 # Grids stay at most 64 points a side so the 1000-example profile stays cheap.
 MAX_SIDE = 64
@@ -138,12 +138,6 @@ def v_boxes(draw, cfg):
     return (lo, hi)
 
 
-def rail_voltages(cfg):
-    """Rails from ``v_rx`` to past ``v_out``, with ``v_out`` itself (where the stage drops)."""
-    top = max(cfg.load.v_rx, cfg.converter.v_out)
-    return st.one_of(finite(cfg.load.v_rx, 20.0 * top), st.just(top))
-
-
 def maybe_negative_zero_load(data, cfg):
     """``cfg``, or in about one draw in ten ``cfg`` at ``power_per_device = -0.0``."""
     if data.draw(st.integers(0, 9)) == 0:
@@ -163,7 +157,7 @@ def grid_axes(draw, cfg):
     if tiny is not None:
         cfg = replace(cfg, load=replace(cfg.load, v_rx=tiny))
     powers = draw(st.lists(st.one_of(finite(0.0, 100.0), st.just(-0.0)), min_size=1, max_size=3))
-    volts = draw(st.lists(rail_voltages(cfg), min_size=1, max_size=4))
+    volts = draw(st.lists(rails_past_v_out(cfg), min_size=1, max_size=4))
     if tiny is not None:
         volts = [tiny] + volts
     wires = draw(st.lists(st.integers(1, MAX_SIDE), min_size=1, max_size=3))

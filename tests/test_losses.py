@@ -1,5 +1,6 @@
 """Loss formulas: point values frozen from hand evaluation, plus dispatch."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -15,7 +16,7 @@ from cryopower.losses import (
     radiative_loss,
     wired_loss,
 )
-from cryopower.model import ArchitectureKind, ConverterSpec, default_config
+from cryopower.model import ARCHITECTURES, ArchitectureKind, ConverterSpec, default_config
 
 
 def rel_close(value: float, expected: float, tol: float = 1e-12) -> bool:
@@ -41,7 +42,17 @@ class TestWiredLoss:
 
     @pytest.mark.parametrize(
         "args",
-        [(1.0, 0.0, 16.0, 1), (1.0, -2.0, 16.0, 1), (1.0, 2.0, 16.0, 0), (1.0, 2.0, 0.0, 1), (-1.0, 2.0, 16.0, 1)],
+        [
+            (1.0, 0.0, 16.0, 1),
+            (1.0, -2.0, 16.0, 1),
+            (1.0, 2.0, 16.0, 0),
+            (1.0, 2.0, 0.0, 1),
+            (-1.0, 2.0, 16.0, 1),
+            (math.nan, 2.0, 16.0, 1),
+            (1.0, math.nan, 16.0, 1),
+            (1.0, 2.0, math.nan, 1),
+            (1.0, 2.0, 16.0, math.nan),
+        ],
     )
     def test_domain_errors(self, args):
         with pytest.raises(ValueError):
@@ -125,10 +136,33 @@ class TestDcdcEfficiency:
         with pytest.raises(ValueError):
             dcdc_efficiency(replace(default_config().converter, v_out=0.0))
 
+    def test_nan_output_voltage_raises(self):
+        with pytest.raises(ValueError, match="^converter output voltage must be > 0, got nan$"):
+            dcdc_efficiency(replace(default_config().converter, v_out=math.nan))
+
+    def test_converter_loss_rejects_nan_power(self):
+        with pytest.raises(ValueError, match="^delivered power must be >= 0, got nan$"):
+            converter_loss(default_config().converter, math.nan)
+
     def test_converter_loss_factor(self):
         spec = default_config().converter
         assert rel_close(converter_loss(spec, 1.0), 9.0 / 220.0)
         assert converter_loss(spec, 0.0) == 0.0
+
+
+@pytest.mark.parametrize(
+    "leaf, args",
+    [
+        (hv_wired_loss, (2.0, 16.0, 1)),
+        (radiative_loss, (0.5, 0.5)),
+        (nonradiative_loss, (0.5,)),
+        (hv_nonradiative_loss, (0.5,)),
+    ],
+    ids=["hv_wired", "radiative", "non_radiative", "hv_non_radiative"],
+)
+def test_leaf_rejects_nan_delivered_power(leaf, args):
+    with pytest.raises(ValueError, match="^delivered power must be >= 0, got nan$"):
+        leaf(math.nan, *args)
 
 
 class TestArchitectureLoss:
@@ -186,6 +220,11 @@ class TestArchitectureLoss:
             breakdown = architecture_loss_at(arch, default_config(), 0.5)
             assert breakdown.architecture is arch
             assert breakdown.transmission_loss >= 0.0
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES, ids=lambda arch: arch.label)
+    def test_nan_delivered_power_raises(self, arch):
+        with pytest.raises(ValueError, match="^delivered power must be >= 0, got nan$"):
+            architecture_loss_at(arch, default_config(), math.nan)
 
     def test_explicit_power_overrides_config(self):
         breakdown = architecture_loss_at(ArchitectureKind.WIRED, default_config(), 2.0)

@@ -1,5 +1,6 @@
 """Heat budget composition and Carnot cooling-power tests."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -22,9 +23,20 @@ class TestCarnotCop:
     def test_eta_linearity(self):
         assert rel_close(carnot_cop(4.0, 300.0, 1.0), 10.0 * carnot_cop(4.0, 300.0, 0.1))
 
-    @pytest.mark.parametrize("args", [(300.0, 300.0, 1.0), (301.0, 300.0, 1.0), (0.0, 300.0, 1.0), (-4.0, 300.0, 1.0)])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (300.0, 300.0, 1.0),
+            (301.0, 300.0, 1.0),
+            (0.0, 300.0, 1.0),
+            (-4.0, 300.0, 1.0),
+            (math.nan, 300.0, 0.1),
+            (4.0, math.nan, 0.1),
+            (math.nan, math.nan, 0.1),
+        ],
+    )
     def test_temperature_ordering_errors(self, args):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^temperatures must satisfy 0 < t_cold < t_ambient"):
             carnot_cop(*args)
 
     @pytest.mark.parametrize("eta", [0.0, -0.1, 1.5])
@@ -34,6 +46,11 @@ class TestCarnotCop:
 
 
 class TestHeatBudget:
+    def test_nan_rail_raises(self):
+        cfg = replace(default_config(), load=replace(default_config().load, v_rx=math.nan))
+        with pytest.raises(ValueError, match="^rail voltage must be > 0, got nan$"):
+            heat_budget(ArchitectureKind.WIRED, cfg)
+
     def test_nonradiative_at_default_operating_point(self):
         budget = heat_budget(ArchitectureKind.NON_RADIATIVE, default_config())
         assert budget.p_load == 0.0
