@@ -20,7 +20,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 from .losses import LossBreakdown, _cost_terms, _loss_cell, architecture_loss_at, carries_converter
 from .model import ARCHITECTURES, ArchitectureKind, SystemConfig, _dataclass_compatible, _is_finite
 from .noise import white_floor_ratio
-from .thermal import ThermalBudget, _heat_cell, budget_from_loss, heat_budget
+from .thermal import ThermalBudget, _heat_cell, _records_at, heat_budget
 
 # Relative slack absorbing last-ulp rounding when an operating point lands
 # exactly on the budget boundary. The solvers cap it at half of what one
@@ -119,17 +119,16 @@ def _with_device_count(config: SystemConfig, count: int) -> SystemConfig:
 
 def evaluate_architecture(arch: ArchitectureKind, config: SystemConfig) -> ArchitectureEvaluation:
     """Pair the loss breakdown with the thermal budget at the configured load."""
-    loss = architecture_loss_at(arch, config, config.load.delivered_power)
-    return ArchitectureEvaluation(loss=loss, thermal=budget_from_loss(config, loss))
+    return ArchitectureEvaluation(*_records_at(arch, config, config.load.delivered_power))
 
 
 def _device_axis(config: SystemConfig, device_counts: Sequence[int]) -> list[int]:
     """The checked device counts of a sweep, as ints.
 
     A count must be a whole number; an integral float such as ``2.0`` is
-    taken as that int. The grid evaluators skip input checks, so the first
-    count also runs through :func:`evaluate_architecture` and an invalid
-    config raises the single-point path's error.
+    taken as that int. A call of the cell evaluator checks nothing, so the
+    first count also runs through :func:`evaluate_architecture` and an
+    invalid config raises the single-point path's error.
     """
     if len(device_counts) == 0:  # a NumPy axis has no truth value
         raise ValueError("device_counts must be nonempty")
@@ -169,11 +168,11 @@ _SWEEP_BUILD = RLock()
 def sweep_loss(config: SystemConfig, device_counts: Sequence[int]) -> SweepResult:
     """Evaluate all five architectures at each device count.
 
-    The whole device axis goes through the array entry point
-    :func:`cryopower.thermal._heat_cell`, one call per architecture under
-    ``_ARRAY_ERRORS``, and every value is bit-identical to
-    :func:`evaluate_architecture` at that count; the first count also runs
-    through it, so an invalid config raises the same error.
+    The whole device axis goes through :func:`cryopower.thermal._heat_cell`,
+    one array call per architecture under ``_ARRAY_ERRORS``; every value is
+    bit-identical to :func:`evaluate_architecture`, one float call of it, at
+    that count. The first count also runs through it, so an invalid config
+    raises the same error.
 
     The cyclic garbage collector is paused while the result records are
     built, and the one collection it held back, if any, runs before the call
@@ -294,9 +293,10 @@ def devices_under_budget(
     when its cost is within a slack of the budget that absorbs rounding:
     ``1e-12`` of the budget, capped at half the cost of one more device there.
     Each feasibility test is an :func:`architecture_loss_at` call on one
-    checked loss evaluator (:func:`cryopower.losses._loss_cell`) that the
-    solve builds once; the closed form's coefficients come from
-    :func:`cryopower.losses._cost_terms`.
+    loss evaluator (:func:`cryopower.losses._loss_cell`), built and checked
+    once per solve; the closed form's coefficients come from
+    :func:`cryopower.losses._cost_terms`, and a NaN one (from a field no
+    check reads, such as ``converter.i_out``) raises before either method.
     """
     if not _is_finite(total_budget):
         raise ValueError(f"total_budget must be finite, got {total_budget!r}")
@@ -309,11 +309,13 @@ def devices_under_budget(
         )
     if method not in ("closed_form", "bisection"):
         raise ValueError(f"method must be 'closed_form' or 'bisection', got {method!r}")
-    loss = _loss_cell(arch, config, check=True)
+    loss = _loss_cell(arch, config)
     # The cost p + cold(p) is b p + c p^2. At the boundary cost(p*) = B one
     # more device adds power_per_device * (b + 2 c p*), which is
     # power_per_device * discriminant.
     b, c = _cost_terms(arch, config)
+    if b != b or c != c:  # NaN: no count would fit, and 0 devices would hide it
+        raise ValueError(f"{arch.label}: budget cost coefficients must not be NaN, got b={b!r}, c={c!r}")
     discriminant = math.sqrt(b * b + 4.0 * c * total_budget)
     limit = min(total_budget * (1.0 + _BUDGET_SLACK), total_budget + 0.5 * power_per_device * discriminant)
 
@@ -331,7 +333,8 @@ def equivalent_wire_count(config: SystemConfig, reference: ArchitectureKind) -> 
 
     Solves wired_loss(p, v_rx, r, n) = transmission loss of ``reference`` at
     the configured delivered power; the result is a positive real (not
-    rounded to an integer).
+    rounded to an integer). The wired evaluator checks the configured rail,
+    resistance and wire count as :func:`wired_loss` does, NaN included.
     """
     if not reference.is_wireless:
         raise ValueError(f"reference must be a wireless architecture, got {reference.label}")
@@ -603,7 +606,8 @@ def optimize(
     loading NumPy, and so is each golden-section probe. Every value is
     bit-identical to the single-point path (:func:`resolve_parameters` and
     :func:`cryopower.thermal.heat_budget`); the first grid cell still runs
-    through it, so an invalid config raises the same error.
+    through it, so an invalid config raises the same error; the evaluator's
+    build checks the configured point, even a rail or count the box frees.
     """
     if not free_parameters:
         raise ValueError("at least one free parameter is required")
@@ -660,7 +664,7 @@ def optimize(
 
         v_grid = np.linspace(float(v_lo), float(v_hi), resolution)  # equals _linspace bit for bit
 
-    # The grid evaluators skip input checks; the single-point path raises them here.
+    # A grid call checks nothing; the single-point path checks the first cell here.
     heat_budget(arch, resolve_parameters(config, arch, _free_params(v_grid[0], n_grid[0]), couple_converter_input))
     fields, p_rx = _heat_cell(arch, config, couple_converter_input), config.load.delivered_power
     scan = _cell_trace if evaluations <= _PYTHON_GRID_CELLS else _kernel_trace

@@ -122,23 +122,22 @@ def carries_converter(arch: ArchitectureKind, spec: ConverterSpec) -> bool:
     return getattr(spec, arch._converter_flag)
 
 
-def _link_terms(arch: ArchitectureKind, config: SystemConfig, check: bool = True) -> tuple:
-    """What no rail or wire count moves: a link's ``1/eta - 1``, resistance, cold fraction, stage flag."""
+def _link_terms(arch: ArchitectureKind, config: SystemConfig) -> tuple:
+    """What no rail or wire count moves: a link's checked ``1/eta - 1``, resistance, cold fraction, stage flag."""
     coup = config.coupling
     r_wire = config.wire.effective_resistance
     linear, cold_fraction = 0.0, 1.0
     if arch._rail is None:
         eta, cold_fraction = 1.0, coup.loss_to_cold_fraction
         for name in arch._link:
-            if check:
-                _check_efficiency(name, getattr(coup, name))
+            _check_efficiency(name, getattr(coup, name))
             eta *= getattr(coup, name)
         linear = 1.0 / eta - 1.0
     return linear, r_wire, cold_fraction, carries_converter(arch, config.converter)
 
 
 def _loss_cell(
-    arch: ArchitectureKind, config: SystemConfig, couple_converter_input: bool = True, check: bool = False
+    arch: ArchitectureKind, config: SystemConfig, couple_converter_input: bool = True
 ) -> Callable[..., tuple]:
     """The loss evaluator of ``arch``: ``loss(p_rx, v_rx_hv=None, wire_count=None)``.
 
@@ -149,26 +148,27 @@ def _loss_cell(
     :func:`cryopower.compare.resolve_parameters` does: its input tracks the
     rail, and the stage drops where the rail is at or below ``v_out`` (a
     float rail then carries no stage, an array rail a 0.0 coefficient
-    there). What no input moves (the link and the resistance) is worked out
-    once; a call computes the rest in the operation order of the leaf
-    functions. With ``check``, the configured point's inputs are checked as
-    the leaf functions check them, after the resistance mode; a call checks
-    nothing, and a float call raises the leaf functions' exception, such as
+    there). What no input moves (the link, the resistance and the configured
+    stage) is worked out once; a call computes the rest in the operation
+    order of the leaf functions. The build checks the configured point as
+    the leaf functions check it, in their order; a call checks nothing, and
+    a float call raises the leaf functions' exception, such as
     ``ZeroDivisionError``. The evaluator never reads the cooling section. A
     float rail, or none, never loads NumPy.
     """
-    linear, r_wire, cold_fraction, staged = _link_terms(arch, config, check)
+    linear, r_wire, cold_fraction, staged = _link_terms(arch, config)
     conv, v_out, wires = config.converter, config.converter.v_out, config.wire.wire_count
     rail = None if arch._rail is None else getattr(config.load, arch._rail)
-    if check and rail is not None:
+    if rail is not None:
         _check_rail(rail, r_wire, wires)
+    stage = 1.0 / dcdc_efficiency(conv) - 1.0 if staged else 0.0  # the configured stage's 1/eta - 1
     moves_rail = arch._rail != "v_rx"
 
     def loss(p_rx, v_rx_hv=None, wire_count=None) -> tuple:
         converter = 0.0
         if staged:
             if v_rx_hv is None or not couple_converter_input:
-                converter = p_rx * (1.0 / dcdc_efficiency(conv) - 1.0)
+                converter = p_rx * stage
             elif isinstance(v_rx_hv, float):  # one rail: a carried stage, or none
                 if v_rx_hv > v_out:
                     converter = p_rx * (1.0 / _buck_efficiency(conv, v_rx_hv, v_out / v_rx_hv) - 1.0)
@@ -192,7 +192,7 @@ def _loss_cell(
 
 def _cost_terms(arch: ArchitectureKind, config: SystemConfig) -> tuple[float, float]:
     """``b`` and ``c`` of the budgeted cost ``p_rx + cold(p_rx) = b p_rx + c p_rx^2`` at the configured point."""
-    linear, r_wire, cold_fraction, staged = _link_terms(arch, config, check=False)
+    linear, r_wire, cold_fraction, staged = _link_terms(arch, config)
     b = 1.0 + linear * cold_fraction + (1.0 / dcdc_efficiency(config.converter) - 1.0 if staged else 0.0)
     rail = None if arch._rail is None else getattr(config.load, arch._rail)
     c = (0.0 if rail is None else r_wire / (rail * rail) / config.wire.wire_count) * cold_fraction
@@ -207,14 +207,14 @@ def architecture_loss_at(
     Wired architectures deposit their full transmission loss at the cold
     stage; wireless ones deposit ``coupling.loss_to_cold_fraction`` of it.
     Only converter-equipped architectures add converter dissipation, which
-    sits at the cold stage in full. The values come from the checked loss
-    evaluator :func:`_loss_cell`, which every grid reads too.
+    sits at the cold stage in full. The values come from :func:`_loss_cell`,
+    which every grid reads too and whose build checks the configured point.
     """
-    # ``_loss``, when given, is ``_loss_cell(arch, config, check=True)``; a budget solve builds it once.
+    # ``_loss``, when given, is ``_loss_cell(arch, config)``; a budget solve builds it once.
     config.wire.effective_resistance  # raises first on a bad resistance mode, as the leaf path did
     _check_delivered(p_rx)
     if _loss is None:
-        _loss = _loss_cell(arch, config, check=True)
+        _loss = _loss_cell(arch, config)
     return LossBreakdown(arch, p_rx, *_loss(p_rx))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .losses import LossBreakdown, _loss_cell, architecture_loss_at
+from .losses import LossBreakdown, _check_delivered, _loss_cell
 from .model import ArchitectureKind, SystemConfig, _dataclass_compatible
 
 
@@ -46,56 +46,32 @@ def carnot_cop(t_cold: float, t_ambient: float, eta_c: float) -> float:
     return eta_c * t_cold / (t_ambient - t_cold)
 
 
-def _stage_terms(arch: ArchitectureKind, config: SystemConfig) -> tuple:
-    """Conduction per wire (None over a link), leak, electronics and COP: what no free parameter moves."""
-    stage, cooling = config.stage, config.cooling
-    per_wire = None if arch.is_wireless else config.wire.thermal_load_per_wire
-    cop = carnot_cop(cooling.t_cold, cooling.t_ambient, cooling.eta_c)
-    return per_wire, stage.q_ambient_leak, stage.q_electronics, cop
-
-
-def budget_from_loss(config: SystemConfig, breakdown: LossBreakdown) -> ThermalBudget:
-    """Heat budget around an already computed loss breakdown of ``config``."""
-    arch, cold = breakdown.architecture, breakdown.loss_at_cold_stage
-    per_wire, leak, electronics, cop = _stage_terms(arch, config)
-    p_load = 0.0 if per_wire is None else per_wire * config.wire.wire_count
-    q_total = p_load + cold + leak + electronics
-    return ThermalBudget(arch, p_load, cold, leak, electronics, q_total, cop, q_total / cop)
-
-
-def heat_budget_at(arch: ArchitectureKind, config: SystemConfig, p_rx: float) -> ThermalBudget:
-    """Heat budget for ``arch`` at an explicit delivered power ``p_rx``.
-
-    Wireless architectures carry no wire conduction load; wired ones carry
-    ``thermal_load_per_wire * wire_count``.
-    """
-    return budget_from_loss(config, architecture_loss_at(arch, config, p_rx))
-
-
-def heat_budget(arch: ArchitectureKind, config: SystemConfig) -> ThermalBudget:
-    """Heat budget at the configured load."""
-    return heat_budget_at(arch, config, config.load.delivered_power)
-
-
 def _heat_cell(
     arch: ArchitectureKind, config: SystemConfig, couple_converter_input: bool = True
 ) -> Callable[..., tuple]:
-    """The one entry point of every grid, sweep and probe: ``fields(p_rx, v_rx_hv=None, wire_count=None)``.
+    """The one heat evaluator, of every record, grid, sweep and probe: ``fields(p_rx, v_rx_hv=None, wire_count=None)``.
 
     Inputs are floats, or NumPy arrays that broadcast together; ``None``
     keeps the configured rail or count. A call returns the seven fields of
     :func:`heat_budget_at` there: ``transmission_loss``, ``converter_loss``,
     ``loss_at_cold_stage`` (from :func:`cryopower.losses._loss_cell`, same
     converter coupling), ``p_load``, ``q_total``, ``cop``, ``cooling_power``.
-    What no input moves is worked out once, so every value is bit-identical
-    to the scalar path. Inputs are not checked: a float cell raises the
-    scalar path's exception, such as ``ZeroDivisionError``, at the call, and
-    an array call raises under its caller's ``compare._ARRAY_ERRORS``. A
-    float rail, or none, never loads NumPy.
+    What no input moves is worked out once and checked at the build: the
+    loss evaluator's checks, a NaN leak, electronics or (on a rail) per-wire
+    load, then the COP. A call checks nothing: a float call (the scalar
+    path, :func:`_records_at`) can raise ``ZeroDivisionError``, and an array
+    call raises under its caller's ``compare._ARRAY_ERRORS``. A float rail,
+    or none, never loads NumPy.
     """
     loss = _loss_cell(arch, config, couple_converter_input)
-    per_wire, leak, electronics, cop = _stage_terms(arch, config)
-    wires = config.wire.wire_count
+    stage, cooling, wires = config.stage, config.cooling, config.wire.wire_count
+    per_wire = None if arch.is_wireless else config.wire.thermal_load_per_wire
+    leak, electronics = stage.q_ambient_leak, stage.q_electronics
+    named = {"stage.q_ambient_leak": leak, "stage.q_electronics": electronics, "wire.thermal_load_per_wire": per_wire}
+    for name, value in named.items():
+        if value != value:  # NaN only: a negative load still computes
+            raise ValueError(f"{name} must not be NaN, got {value!r}")
+    cop = carnot_cop(cooling.t_cold, cooling.t_ambient, cooling.eta_c)
 
     def fields(p_rx, v_rx_hv=None, wire_count=None) -> tuple:
         transmission, converter, cold = loss(p_rx, v_rx_hv, wire_count)
@@ -104,3 +80,27 @@ def _heat_cell(
         return transmission, converter, cold, p_load, q_total, cop, q_total / cop
 
     return fields
+
+
+def _records_at(arch: ArchitectureKind, config: SystemConfig, p_rx: float) -> tuple[LossBreakdown, ThermalBudget]:
+    """The loss breakdown and heat budget of ``arch`` at ``p_rx``: one float call of :func:`_heat_cell`."""
+    config.wire.effective_resistance  # raises first on a bad resistance mode, as the leaf path did
+    _check_delivered(p_rx)
+    transmission, converter, cold, p_load, q_total, cop, cooling = _heat_cell(arch, config)(p_rx)
+    return LossBreakdown(arch, p_rx, transmission, converter, cold), ThermalBudget(
+        arch, p_load, cold, config.stage.q_ambient_leak, config.stage.q_electronics, q_total, cop, cooling
+    )
+
+
+def heat_budget_at(arch: ArchitectureKind, config: SystemConfig, p_rx: float) -> ThermalBudget:
+    """Heat budget for ``arch`` at an explicit delivered power ``p_rx``.
+
+    Wireless architectures carry no wire conduction load; wired ones carry
+    ``thermal_load_per_wire * wire_count``.
+    """
+    return _records_at(arch, config, p_rx)[1]
+
+
+def heat_budget(arch: ArchitectureKind, config: SystemConfig) -> ThermalBudget:
+    """Heat budget at the configured load."""
+    return heat_budget_at(arch, config, config.load.delivered_power)

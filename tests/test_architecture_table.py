@@ -3,7 +3,9 @@
 Each ``ArchitectureKind`` member declares its rail, link and converter flag,
 and the loss, thermal and noise code reads those instead of comparing
 members. ``architecture_reference`` holds the comparing form; every value is
-compared by ``float.hex`` and every error by type and message.
+compared by ``float.hex`` and every error by type and message. The point
+records are also compared with a frozen copy of the heat sum they were once
+composed from, before they read the one cell evaluator.
 """
 
 import math
@@ -15,9 +17,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import architecture_reference as reference
+from cryopower.compare import evaluate_architecture
 from cryopower.losses import architecture_loss_at, carries_converter
 from cryopower.model import ARCHITECTURES, ArchitectureKind, ConverterSpec
 from cryopower.noise import rail_noise, white_floor_ratio
+from cryopower.thermal import carnot_cop, heat_budget_at
 
 from strategies import finite, system_configs
 
@@ -118,12 +122,60 @@ _BAD_INPUTS = {
 }
 
 
+def with_bad_inputs(data, cfg, bad):
+    """``cfg`` with up to five of the fields in ``bad`` set to a value their check rejects."""
+    for path in data.draw(st.lists(st.sampled_from(sorted(bad)), unique=True, max_size=5)):
+        section, leaf = path.split(".")
+        value = bad[path]
+        value = data.draw(value(cfg) if callable(value) else value)
+        cfg = replace(cfg, **{section: replace(getattr(cfg, section), **{leaf: value})})
+    return cfg
+
+
+def delivered_powers(data):
+    return data.draw(st.one_of(finite(0.0, 100.0), st.sampled_from([-1.0, -0.0])))
+
+
 @given(system_configs(), st.sampled_from(ARCHITECTURES), st.data())
 def test_loss_raises_the_same_first_error(cfg, arch, data):
     # Several inputs are bad at once, so the order of the checks decides the error.
-    for path in data.draw(st.lists(st.sampled_from(sorted(_BAD_INPUTS)), unique=True, max_size=5)):
-        section, leaf = path.split(".")
-        cfg = replace(cfg, **{section: replace(getattr(cfg, section), **{leaf: data.draw(_BAD_INPUTS[path])})})
-    p = data.draw(st.one_of(finite(0.0, 100.0), st.sampled_from([-1.0, -0.0])))
+    cfg = with_bad_inputs(data, cfg, _BAD_INPUTS)
+    p = delivered_powers(data)
     loss = outcome(lambda: tuple(architecture_loss_at(arch, cfg, p))[2:])
     assert loss == outcome(reference.architecture_loss_at, arch, cfg, p)
+
+
+def frozen_records(arch, cfg, p):
+    """``budget_from_loss(cfg, architecture_loss_at(arch, cfg, p))`` as the scalar path composed it.
+
+    The loss is the frozen ``reference.architecture_loss_at``; the heat sum,
+    its COP and the order of their checks are copied from ``budget_from_loss``
+    and ``_stage_terms`` before the scalar path read ``thermal._heat_cell``.
+    Do not edit it to follow a change in ``cryopower``.
+    """
+    transmission, converter, cold = reference.architecture_loss_at(arch, cfg, p)
+    stage, cooling = cfg.stage, cfg.cooling
+    per_wire = None if reference.is_wireless(arch) else cfg.wire.thermal_load_per_wire
+    cop = carnot_cop(cooling.t_cold, cooling.t_ambient, cooling.eta_c)
+    p_load = 0.0 if per_wire is None else per_wire * cfg.wire.wire_count
+    q_total = p_load + cold + stage.q_ambient_leak + stage.q_electronics
+    budget = (p_load, cold, stage.q_ambient_leak, stage.q_electronics, q_total, cop, q_total / cop)
+    return (p, transmission, converter, cold), budget
+
+
+# Cooling sections that carnot_cop rejects, on top of the loss path's bad inputs.
+_BAD_COOLING = {
+    "cooling.eta_c": st.sampled_from([0.0, math.nan]),
+    "cooling.t_cold": lambda cfg: st.sampled_from([cfg.cooling.t_ambient, 2.0 * cfg.cooling.t_ambient]),
+}
+
+
+@given(system_configs(), st.sampled_from(ARCHITECTURES), st.data())
+def test_point_records_match_the_frozen_scalar_path(cfg, arch, data):
+    # heat_budget_at and evaluate_architecture read one float call of thermal._heat_cell.
+    cfg = with_bad_inputs(data, cfg, {**_BAD_INPUTS, **_BAD_COOLING})
+    p = delivered_powers(data)
+    budget = outcome(lambda: tuple(heat_budget_at(arch, cfg, p))[1:])
+    assert budget == outcome(lambda: frozen_records(arch, cfg, p)[1])
+    evaluation = outcome(lambda: tuple(tuple(record)[1:] for record in evaluate_architecture(arch, cfg)))
+    assert evaluation == outcome(frozen_records, arch, cfg, cfg.load.delivered_power)

@@ -519,6 +519,22 @@ class TestDevicesUnderBudget:
             assert solve(arch, "closed_form") == solve(arch, "bisection"), arch
 
     @pytest.mark.parametrize("method", ["closed_form", "bisection"])
+    @pytest.mark.parametrize(
+        "arch, path",
+        [
+            (A.RADIATIVE, "coupling.loss_to_cold_fraction"),
+            (A.HV_WIRED, "converter.i_out"),
+            (A.HV_WIRED, "converter.r_hs"),
+            (A.HV_WIRED, "converter.f_sw"),
+        ],
+    )
+    def test_nan_cost_coefficient_raises(self, method, arch, path):
+        # No check reads these fields; the NaN lands in the cost's b, where 0 devices used to come back.
+        cfg = set_value(default_config(), path, math.nan)
+        with pytest.raises(ValueError, match=f"^{arch.label}: budget cost coefficients must not be NaN, got b=nan"):
+            devices_under_budget(arch, cfg, 10.0, method)
+
+    @pytest.mark.parametrize("method", ["closed_form", "bisection"])
     def test_nan_rail_raises_in_both_methods(self, method):
         cfg = replace(default_config(), load=replace(default_config().load, v_rx=math.nan))
         with pytest.raises(ValueError, match="^rail voltage must be > 0, got nan$"):
@@ -550,6 +566,23 @@ class TestEquivalentWireCount:
 
     def test_default_operating_point(self):
         assert equivalent_wire_count(default_config(), A.NON_RADIATIVE) == 16.0
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            ("load.v_rx", 0.0, "rail voltage must be > 0, got 0.0"),
+            ("load.v_rx", -2.0, "rail voltage must be > 0, got -2.0"),
+            ("load.v_rx", math.nan, "rail voltage must be > 0, got nan"),
+            ("wire.resistance_warm", 0.0, "wire resistance must be > 0, got 0.0"),
+            ("wire.resistance_warm", -16.0, "wire resistance must be > 0, got -16.0"),
+            ("wire.resistance_warm", math.nan, "wire resistance must be > 0, got nan"),
+        ],
+    )
+    def test_bad_rail_or_resistance_raises_as_wired_loss_does(self, path, value, message):
+        # The wired evaluator checks its configured point, as wired_loss checks its arguments.
+        cfg = replace(default_config(), load=replace(default_config().load, device_count=1000))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            equivalent_wire_count(set_value(cfg, path, value), A.NON_RADIATIVE)
 
     def test_radiative_reference(self):
         # 4.0 / (1/0.63 - 1)
@@ -766,6 +799,12 @@ class TestLinspace:
 
 
 class TestOptimize:
+    def test_configured_rail_is_checked_where_the_box_frees_it(self):
+        # The cell evaluator's build checks the configured point, not only the first grid cell.
+        cfg = set_value(default_config(), "load.v_rx_hv", 0.0)
+        with pytest.raises(ValueError, match=r"^rail voltage must be > 0, got 0\.0$"):
+            optimize(cfg, {"v_rx_hv": (2, 200)}, A.HV_WIRED)
+
     def test_degenerate_box(self):
         cfg = default_config()
         result = optimize(cfg, {"v_rx_hv": (2.0, 2.0)}, A.HV_WIRED)

@@ -207,7 +207,7 @@ def boxes(draw, cfg):
 
 
 @given(system_configs(), st.sampled_from(ARCHITECTURES), st.booleans(), st.data())
-def test_heat_grid_matches_scalar_cell_by_cell(cfg, arch, couple, data):
+def test_heat_cell_array_call_matches_scalar_cell_by_cell(cfg, arch, couple, data):
     cfg, powers, volts, wires = data.draw(grid_axes(cfg))
     shape = (len(powers), len(volts), len(wires))
     expected = {
@@ -346,7 +346,7 @@ def test_kernel_takes_blocks_of_whole_rail_rows_in_scan_order(block_cells, rails
 )
 def test_kernel_optimize_builds_one_cell_evaluator(box, monkeypatch):
     # One kernel block or 16: the kernel reads the one cell evaluator optimize built. The other
-    # loss evaluator is the first grid cell's check on the single-point path.
+    # cell and loss evaluator are the first grid cell's check on the single-point path.
     builds = []
     seams = ((compare, "_heat_cell"), (thermal, "_heat_cell"), (thermal, "_loss_cell"), (losses, "_loss_cell"))
     for module, name in seams:
@@ -357,7 +357,7 @@ def test_kernel_optimize_builds_one_cell_evaluator(box, monkeypatch):
 
         monkeypatch.setattr(module, name, counting)
     optimize(default_config(), box, ArchitectureKind.HV_WIRED, resolution=1000)
-    assert (builds.count("_heat_cell"), builds.count("_loss_cell")) == (1, 2)
+    assert (builds.count("_heat_cell"), builds.count("_loss_cell")) == (2, 2)
 
 
 def test_default_2d_grid_holds_one_block_at_a_time():

@@ -5,8 +5,10 @@ from dataclasses import replace
 
 import pytest
 
+from cryopower.compare import sweep_loss
+from cryopower.configio import set_value
 from cryopower.model import ArchitectureKind, LoadSpec, StageSpec, WireSpec, default_config
-from cryopower.thermal import carnot_cop, heat_budget, heat_budget_at
+from cryopower.thermal import _heat_cell, carnot_cop, heat_budget, heat_budget_at
 
 
 def rel_close(value: float, expected: float, tol: float = 1e-12) -> bool:
@@ -50,6 +52,28 @@ class TestHeatBudget:
         cfg = replace(default_config(), load=replace(default_config().load, v_rx=math.nan))
         with pytest.raises(ValueError, match="^rail voltage must be > 0, got nan$"):
             heat_budget(ArchitectureKind.WIRED, cfg)
+
+    @pytest.mark.parametrize("path", ["stage.q_ambient_leak", "stage.q_electronics", "wire.thermal_load_per_wire"])
+    def test_nan_stage_heat_raises_naming_the_field(self, path):
+        # The cell evaluator's build guards them, so the scalar path, sweeps and grids raise alike.
+        cfg = set_value(default_config(), path, math.nan)
+        message = f"^{path} must not be NaN, got nan$"
+        with pytest.raises(ValueError, match=message):
+            heat_budget(ArchitectureKind.WIRED, cfg)
+        with pytest.raises(ValueError, match=message):
+            sweep_loss(cfg, [1, 2])
+        with pytest.raises(ValueError, match=message):
+            _heat_cell(ArchitectureKind.WIRED, cfg, False)
+
+    def test_nan_wire_load_is_unread_over_a_link(self):
+        cfg = set_value(default_config(), "wire.thermal_load_per_wire", math.nan)
+        assert heat_budget(ArchitectureKind.RADIATIVE, cfg) == heat_budget(ArchitectureKind.RADIATIVE, default_config())
+
+    @pytest.mark.parametrize("path", ["stage.q_ambient_leak", "stage.q_electronics", "wire.thermal_load_per_wire"])
+    def test_negative_stage_heat_still_computes(self, path):
+        # Only NaN is guarded.
+        budget = heat_budget(ArchitectureKind.WIRED, set_value(default_config(), path, -0.5))
+        assert budget.q_total == budget.p_load + budget.p_loss_cold + budget.q_ambient + budget.q_electronics
 
     def test_nonradiative_at_default_operating_point(self):
         budget = heat_budget(ArchitectureKind.NON_RADIATIVE, default_config())
