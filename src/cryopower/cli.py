@@ -58,35 +58,25 @@ def _csv_document(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     return buffer.getvalue()
 
 
-# The sweep's JSON writers below lay a document out as json.dumps(payload, indent=2)
-# does, byte for byte, but build each object from a template whose keys are
-# encoded once; the sweep writes thousands of objects of one shape.
+# The sweep's JSON writers below lay a document out as json.dumps(payload, indent=2) does, byte for byte,
+# but build each object from a template whose keys are encoded once; the sweep writes thousands of objects
+# of one shape. They handle what a sweep holds: float, str and int leaves, no empty object or array.
 
 _JSON_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_leaf(value: Any) -> str:
-    """One JSON scalar as ``json.dumps`` writes it."""
+    """One float, str or int as ``json.dumps`` writes it."""
     if isinstance(value, float):
         text = float.__repr__(value)
         return text if math.isfinite(value) else _JSON_FLOAT_NAMES[text]
     if isinstance(value, str):
         return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return int.__repr__(value)
 
 
 def _json_object(keys: Sequence[str], depth: int) -> str:
     """A ``%`` template of an object with ``keys`` at nesting ``depth``: one ``%s`` per value."""
-    if not keys:
-        return "{}"
     pad = "\n" + "  " * (depth + 1)
     members = (f"{pad}{encode_basestring_ascii(key).replace('%', '%%')}: %s" for key in keys)
     return "{" + ",".join(members) + "\n" + "  " * depth + "}"
@@ -94,8 +84,6 @@ def _json_object(keys: Sequence[str], depth: int) -> str:
 
 def _json_array(items: Sequence[str], depth: int) -> str:
     """An array of already written ``items`` at nesting ``depth``."""
-    if not items:
-        return "[]"
     pad = "\n" + "  " * (depth + 1)
     return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
 
@@ -361,13 +349,10 @@ def _run_compare(args: argparse.Namespace) -> str:
     if devices < 1:
         raise CliError(f"compare needs a device count >= 1, got {devices}", EXIT_BAD_INVOCATION)
     budget = args.budget
-    try:
-        report = scorecard(config, devices)
-        counts = None
-        if budget is not None:
-            counts = {arch: devices_under_budget(arch, config, budget) for arch in ARCHITECTURES}
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_BAD_INVOCATION) from exc
+    report = scorecard(config, devices)
+    counts = None
+    if budget is not None:
+        counts = {arch: devices_under_budget(arch, config, budget) for arch in ARCHITECTURES}
     rows = []
     for row in report.rows:
         entry: dict[str, Any] = {
@@ -402,16 +387,13 @@ def _run_optimize(args: argparse.Namespace) -> str:
         except ValueError as exc:
             raise CliError(f"invalid bounds for {name!r}: {exc}", EXIT_BAD_INVOCATION) from exc
         free[name] = (lo, hi)
-    try:
-        result = optimize(
-            config,
-            free,
-            arch,
-            resolution=args.resolution,
-            couple_converter_input=not args.no_converter_coupling,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_BAD_INVOCATION) from exc
+    result = optimize(
+        config,
+        free,
+        arch,
+        resolution=args.resolution,
+        couple_converter_input=not args.no_converter_coupling,
+    )
     param_names = [name for name in FREE_PARAMETER_NAMES if name in result.parameters]
     if args.output_format == "json":
         payload = {
@@ -436,11 +418,13 @@ def _run_optimize(args: argparse.Namespace) -> str:
 
 
 def run(args: argparse.Namespace) -> tuple[int, str, str]:
-    """Execute a parsed command line; returns (exit status, stdout document, stderr text)."""
+    """Execute a parsed command line: (exit status, stdout document, stderr text); a library ValueError exits 2."""
     try:
         return EXIT_OK, args.handler(args), ""
     except CliError as exc:
         return exc.code, "", f"error: {exc}\n"
+    except ValueError as exc:
+        return EXIT_BAD_INVOCATION, "", f"error: {exc}\n"
     except ZeroDivisionError as exc:
         # validate accepts values whose products underflow to 0.0, such as a rail of 1e-170 V squared.
         return EXIT_INVALID_CONFIG, "", f"error: configuration cannot be evaluated: {exc}\n"

@@ -334,7 +334,8 @@ def equivalent_wire_count(config: SystemConfig, reference: ArchitectureKind) -> 
     Solves wired_loss(p, v_rx, r, n) = transmission loss of ``reference`` at
     the configured delivered power; the result is a positive real (not
     rounded to an integer). The wired evaluator checks the configured rail,
-    resistance and wire count as :func:`wired_loss` does, NaN included.
+    resistance and wire count as :func:`wired_loss` does, NaN included. A
+    reference or single-wire loss that overflows to inf raises ``ValueError``.
     """
     if not reference.is_wireless:
         raise ValueError(f"reference must be a wireless architecture, got {reference.label}")
@@ -348,6 +349,9 @@ def equivalent_wire_count(config: SystemConfig, reference: ArchitectureKind) -> 
             "no finite wire count matches it"
         )
     single_wire_loss = _loss_cell(ArchitectureKind.WIRED, config)(p_rx, None, 1)[0]
+    for term, loss in ((f"{reference.label} transmission loss", reference_loss), ("single-wire loss", single_wire_loss)):
+        if not math.isfinite(loss):
+            raise ValueError(f"{term} is not finite at this configuration, got {loss!r}")
     return single_wire_loss / reference_loss
 
 

@@ -432,8 +432,6 @@ json_leaves = st.one_of(
     st.integers(-(2**80), 2**80),
     st.sampled_from([2**53 + 1, -(2**63), 2**64]),
     st.text(),
-    st.booleans(),
-    st.none(),
 )
 
 
@@ -599,6 +597,7 @@ class TestExitCodes:
             (["compare", "--budget", "-Infinity"], "argument --budget: expected a finite number, got '-Infinity'"),
             (["compare", "--budget", "-NaN"], "argument --budget: expected a finite number, got '-NaN'"),
             (["evaluate", "--arch", "wired", "--devices", "-inf"], "argument --devices: expected an integer, got '-inf'"),
+            (["evaluate", "--arch", "wired", "--devices", "-1"], "argument --devices: expected a value >= 0, got '-1'"),
         ],
     )
     def test_rejected_command_line_number(self, capsys, argv, message):
@@ -646,6 +645,9 @@ class TestExitCodes:
                           "--resolution", str(10**400)], EXIT_BAD_INVOCATION,
                          f"resolution must be finite, got {10**400}",
                          id="wire_count_optimize_resolution_past_float_range"),
+            # A library ValueError raised inside optimize.
+            (["optimize", "--arch", "wired", "--free", "wire_count", "1.2", "1.8"], EXIT_BAD_INVOCATION,
+             "empty wire_count range [1.2, 1.8]"),
         ],
     )
     def test_command_line_bound_reaches_its_check(self, capsys, argv, code, message):
@@ -653,6 +655,14 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    def test_compare_on_a_config_without_devices(self, tmp_path, capsys):
+        path = tmp_path / "no_devices.cfg"
+        path.write_text("load.device_count = 0\n")
+        assert main(["compare", "--config", str(path)]) == EXIT_BAD_INVOCATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: compare needs a device count >= 1, got 0\n"
 
     def test_invariant_violation_in_config(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

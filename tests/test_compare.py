@@ -469,6 +469,22 @@ class TestDevicesUnderBudget:
         # One more does not.
         assert cost(count + 1) > budget
 
+    @pytest.mark.parametrize("budget", [0.3, 1.0])
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    @pytest.mark.parametrize("power_per_device", [1e-17, 1e-18, 3e-19])
+    def test_methods_agree_past_two_to_the_53(self, power_per_device, arch, budget):
+        # Counts of 1e16 to 1e18 devices, past 2**53: the closed form's first bracket is 4 to 32 counts
+        # wide, so it gallops up from its estimate (most cases) or down (wired at 3e-19 W and 0.3 W).
+        cfg = set_value(default_config(), "load.power_per_device", power_per_device)
+
+        def solve(method):
+            try:
+                return devices_under_budget(arch, cfg, budget, method)
+            except ValueError as exc:
+                return str(exc)
+
+        assert solve("closed_form") == solve("bisection")
+
     def test_tiny_budget_supports_zero_devices(self):
         assert devices_under_budget(A.WIRED, default_config(), 1e-9) == 0
 
@@ -583,6 +599,42 @@ class TestEquivalentWireCount:
         cfg = replace(default_config(), load=replace(default_config().load, device_count=1000))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             equivalent_wire_count(set_value(cfg, path, value), A.NON_RADIATIVE)
+
+    @pytest.mark.parametrize(
+        "changes, references, term",
+        [
+            # The delivered power overflows to inf; inf / inf gave nan.
+            pytest.param(
+                {"load.power_per_device": 1e300, "load.device_count": 10**10},
+                (A.RADIATIVE, A.NON_RADIATIVE, A.HV_NON_RADIATIVE),
+                "{} transmission loss",
+                id="delivered_power",
+            ),
+            # The coil's 1/eta - 1 overflows; a finite wire loss over inf gave 0.0.
+            pytest.param(
+                {"coupling.eta_coup_coil": 1e-310},
+                (A.NON_RADIATIVE, A.HV_NON_RADIATIVE),
+                "{} transmission loss",
+                id="coil_efficiency",
+            ),
+            # (p p)/(v v) r overflows though the true ratio, about 1.6e301, is finite; it gave inf.
+            pytest.param(
+                {"load.power_per_device": 1e298, "load.device_count": 100},
+                (A.RADIATIVE, A.NON_RADIATIVE, A.HV_NON_RADIATIVE),
+                "single-wire loss",
+                id="single_wire_loss",
+            ),
+        ],
+    )
+    def test_overflowing_loss_raises(self, changes, references, term):
+        cfg = default_config()
+        for path, value in changes.items():
+            cfg = set_value(cfg, path, value)
+        assert validate(cfg).ok
+        for reference in references:
+            message = f"{term.format(reference.label)} is not finite at this configuration, got inf"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                equivalent_wire_count(cfg, reference)
 
     def test_radiative_reference(self):
         # 4.0 / (1/0.63 - 1)
