@@ -51,7 +51,7 @@ from .model import (
     default_config,
     validate,
 )
-from .noise import NoiseDensity, rail_noise, rail_noise_density, spur_shape, supply_noise, white_floor_ratio
+from .noise import rail_noise, spur_shape, supply_noise, white_floor_ratio
 from .thermal import ThermalBudget, carnot_cop, heat_budget, heat_budget_at
 
 __version__ = "0.1.0"
@@ -68,7 +68,6 @@ __all__ = [
     "CouplingSpec",
     "LoadSpec",
     "LossBreakdown",
-    "NoiseDensity",
     "NoiseSpec",
     "OptimizationResult",
     "StageSpec",
@@ -98,7 +97,6 @@ __all__ = [
     "parse_config",
     "radiative_loss",
     "rail_noise",
-    "rail_noise_density",
     "resolve_parameters",
     "scorecard",
     "serialize_config",

@@ -335,7 +335,8 @@ def equivalent_wire_count(config: SystemConfig, reference: ArchitectureKind) -> 
     the configured delivered power; the result is a positive real (not
     rounded to an integer). The wired evaluator checks the configured rail,
     resistance and wire count as :func:`wired_loss` does, NaN included. A
-    reference or single-wire loss that overflows to inf raises ``ValueError``.
+    reference or single-wire loss that overflows to inf, a single-wire loss
+    that underflows to 0, or a ratio out of float range raises ``ValueError``.
     """
     if not reference.is_wireless:
         raise ValueError(f"reference must be a wireless architecture, got {reference.label}")
@@ -352,7 +353,15 @@ def equivalent_wire_count(config: SystemConfig, reference: ArchitectureKind) -> 
     for term, loss in ((f"{reference.label} transmission loss", reference_loss), ("single-wire loss", single_wire_loss)):
         if not math.isfinite(loss):
             raise ValueError(f"{term} is not finite at this configuration, got {loss!r}")
-    return single_wire_loss / reference_loss
+    if single_wire_loss == 0:
+        raise ValueError("single-wire loss underflows to 0.0 at this configuration; no positive wire count matches it")
+    count = single_wire_loss / reference_loss
+    if not 0 < count < math.inf:
+        raise ValueError(
+            f"wire count is out of float range at this configuration: single-wire loss {single_wire_loss!r} "
+            f"over {reference.label} transmission loss {reference_loss!r} gives {count!r}"
+        )
+    return count
 
 
 @functools.cache

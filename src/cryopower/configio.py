@@ -4,7 +4,8 @@ Keys mirror the SystemConfig field paths exactly (``wire.resistance_warm``,
 ``load.v_rx``, ...). Values are plain ASCII SI numbers, ``true``/``false``
 for booleans, or bare words for string fields; no unit suffixes, digit-group
 underscores or non-ASCII digits. ``#`` starts a comment. Unknown keys are a
-hard error so typos cannot silently fall back to defaults. Each field's kind
+hard error so typos cannot silently fall back to defaults; ``parse_config``
+checks each key, and the helpers below take only table keys. Each field's kind
 is read from its dataclass annotation, through ``model._FIELD_KINDS``, the
 table ``validate`` and the CLI sweep also read.
 """
@@ -17,11 +18,7 @@ from .model import _FIELD_KINDS, SystemConfig, default_config
 
 
 class ConfigError(ValueError):
-    """Malformed config text or an unknown/invalid key."""
-
-    def __init__(self, message: str, path: str | None = None):
-        super().__init__(message)
-        self.path = path
+    """Malformed config text, an invalid value, or a key ``parse_config`` does not know."""
 
 
 def _plain_number(text: str, convert=float):
@@ -34,8 +31,6 @@ def _plain_number(text: str, convert=float):
 
 def coerce_value(path: str, raw: str):
     """Parse the textual value for ``path`` into its field type."""
-    if path not in _FIELD_KINDS:
-        raise ConfigError(f"unknown configuration key: {path!r}", path=path)
     kind = _FIELD_KINDS[path]
     text = raw.strip()
     try:
@@ -50,21 +45,17 @@ def coerce_value(path: str, raw: str):
             return text
         return _plain_number(text, int if kind == "an integer" else float)
     except ValueError as exc:
-        raise ConfigError(f"{path}: invalid value {text!r} ({exc})", path=path) from exc
+        raise ConfigError(f"{path}: invalid value {text!r} ({exc})") from exc
 
 
 def set_value(config: SystemConfig, path: str, value) -> SystemConfig:
     """Return a config with the leaf at ``path`` replaced by ``value``."""
-    if path not in _FIELD_KINDS:
-        raise ConfigError(f"unknown configuration key: {path!r}", path=path)
     section, leaf = path.split(".", 1)
     updated_section = replace(getattr(config, section), **{leaf: value})
     return replace(config, **{section: updated_section})
 
 
 def get_value(config: SystemConfig, path: str):
-    if path not in _FIELD_KINDS:
-        raise ConfigError(f"unknown configuration key: {path!r}", path=path)
     section, leaf = path.split(".", 1)
     return getattr(getattr(config, section), leaf)
 
@@ -107,9 +98,9 @@ def parse_config(text: str) -> SystemConfig:
         key, raw_value = line.split("=", 1)
         path = key.strip()
         if path in seen:
-            raise ConfigError(f"line {lineno}: duplicate key {path!r}", path=path)
+            raise ConfigError(f"line {lineno}: duplicate key {path!r}")
         seen.add(path)
         if path not in _FIELD_KINDS:
-            raise ConfigError(f"line {lineno}: unknown configuration key: {path!r}", path=path)
+            raise ConfigError(f"line {lineno}: unknown configuration key: {path!r}")
         config = set_value(config, path, coerce_value(path, raw_value))
     return config

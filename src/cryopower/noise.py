@@ -9,17 +9,7 @@ floor set by their conversion stages.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from .model import ArchitectureKind, NoiseSpec, SystemConfig, _dataclass_compatible
-
-
-@_dataclass_compatible
-class NoiseDensity(NamedTuple):
-    """One point of a voltage-noise spectrum."""
-
-    frequency: float
-    density: float
+from .model import ArchitectureKind, NoiseSpec, SystemConfig
 
 
 def supply_noise(f: float, spec: NoiseSpec) -> float:
@@ -71,8 +61,3 @@ def rail_noise(arch: ArchitectureKind, f: float, config: SystemConfig) -> float:
     step_down = config.load.v_rx_hv / config.load.v_rx
     spur = spec.switching_spur * spur_shape(f, config.converter.f_sw)
     return supply_noise(f, spec) / step_down + spur
-
-
-def rail_noise_density(arch: ArchitectureKind, f: float, config: SystemConfig) -> NoiseDensity:
-    """Convenience wrapper pairing the frequency with its density."""
-    return NoiseDensity(frequency=f, density=rail_noise(arch, f, config))

@@ -636,6 +636,65 @@ class TestEquivalentWireCount:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 equivalent_wire_count(cfg, reference)
 
+    @pytest.mark.parametrize(
+        "changes, references, message",
+        [
+            # (p p)/(v v) r underflows to 0; it gave 0.0 wires.
+            pytest.param(
+                {"load.power_per_device": 1e-200, "load.device_count": 1},
+                (A.RADIATIVE, A.NON_RADIATIVE, A.HV_NON_RADIATIVE),
+                "single-wire loss underflows to 0.0 at this configuration; no positive wire count matches it",
+                id="single_wire_underflow",
+            ),
+            # A finite single-wire loss over a coil loss of a few ulps; the ratio gave inf.
+            pytest.param(
+                {
+                    "load.power_per_device": 1e-10,
+                    "load.v_rx": 1e-152,
+                    "load.v_rx_hv": 1.0,
+                    "coupling.eta_coup_coil": 0.9999999999999999,
+                },
+                (A.NON_RADIATIVE, A.HV_NON_RADIATIVE),
+                "single-wire loss 6.399999999999999e+289 over {} transmission loss 4.440892098500626e-24 gives inf",
+                id="ratio_overflow",
+            ),
+            # A subnormal single-wire loss over a loss of hundreds of watts; the ratio gave 0.0.
+            pytest.param(
+                {
+                    "load.power_per_device": 1.0,
+                    "load.device_count": 1000,
+                    "load.v_rx": 1e154,
+                    "load.v_rx_hv": 1e155,
+                    "wire.resistance_warm": 1e-20,
+                    "wire.resistance_cold": 1e-20,
+                },
+                (A.NON_RADIATIVE, A.HV_NON_RADIATIVE),
+                "single-wire loss 1e-322 over {} transmission loss 250.0 gives 0.0",
+                id="ratio_underflow",
+            ),
+        ],
+    )
+    def test_count_out_of_float_range_raises(self, changes, references, message):
+        cfg = default_config()
+        for path, value in changes.items():
+            cfg = set_value(cfg, path, value)
+        assert validate(cfg).ok
+        for reference in references:
+            with pytest.raises(ValueError, match=f"{re.escape(message.format(reference.label))}$"):
+                equivalent_wire_count(cfg, reference)
+
+    def test_huge_finite_count_is_returned(self):
+        # The ratio_overflow config against the radiative link: about 5.4e297 wires, finite and kept.
+        cfg = default_config()
+        for path, value in (
+            ("load.power_per_device", 1e-10),
+            ("load.v_rx", 1e-152),
+            ("load.v_rx_hv", 1.0),
+            ("coupling.eta_coup_coil", 0.9999999999999999),
+        ):
+            cfg = set_value(cfg, path, value)
+        assert equivalent_wire_count(cfg, A.RADIATIVE) == 5.448648648648649e297
+
     def test_radiative_reference(self):
         # 4.0 / (1/0.63 - 1)
         value = equivalent_wire_count(default_config(), A.RADIATIVE)

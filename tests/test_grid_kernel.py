@@ -40,6 +40,7 @@ from cryopower.compare import (
     SweepPoint,
     SweepResult,
     _golden_refine,
+    devices_under_budget,
     optimize,
     resolve_parameters,
     sweep_loss,
@@ -433,3 +434,28 @@ def test_array_calls_overflow_quietly_under_the_error_policy():
         reference.append(SweepPoint(count, tuple(compare.evaluate_architecture(a, point) for a in ARCHITECTURES)))
     assert bits(swept) == bits(SweepResult("device_count", tuple(reference)))
     assert bits(optimized) == bits(reference_optimize(cfg, box, arch, resolution, True))
+
+
+def test_builds_on_a_rail_whose_square_underflows():
+    # v * v underflows to 0.0 on both rails, and validate accepts the config. Every evaluator's build
+    # must succeed there: only a call, or the budget solver's cost terms, may divide by that square,
+    # so the closed form's c = r / (v v) / n is computed by its reader and never at a build.
+    cfg = default_config()
+    cfg = replace(cfg, load=replace(cfg.load, v_rx=1e-170, v_rx_hv=1e-170))
+    assert cfg.load.v_rx * cfg.load.v_rx == 0.0
+    for arch in ARCHITECTURES:
+        losses._loss_cell(arch, cfg)
+        _heat_cell(arch, cfg)
+    # The grid frees the HV rail, so every cell reads a rail of 1 V or more.
+    result = optimize(cfg, {"v_rx_hv": (1.0, 10.0)}, ArchitectureKind.HV_WIRED, resolution=10)
+    assert (result.objective_value.hex(), result.parameters, result.evaluations) == (
+        "0x1.706e2856e2856p+8",
+        {"v_rx_hv": 10.0},
+        56,
+    )
+    for method in ("closed_form", "bisection"):
+        for arch in (ArchitectureKind.WIRED, ArchitectureKind.HV_WIRED):
+            with pytest.raises(ZeroDivisionError):
+                devices_under_budget(arch, cfg, 1.0, method=method)
+        counts = [devices_under_budget(arch, cfg, 1.0, method=method) for arch in ARCHITECTURES if arch.is_wireless]
+        assert counts == [126, 160, 160], method

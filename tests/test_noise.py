@@ -9,7 +9,6 @@ import pytest
 from cryopower.model import ARCHITECTURES, ArchitectureKind, default_config
 from cryopower.noise import (
     rail_noise,
-    rail_noise_density,
     spur_shape,
     supply_noise,
     white_floor_ratio,
@@ -114,11 +113,6 @@ class TestRailNoise:
     def test_nan_frequency_rejected(self, arch):
         with pytest.raises(ValueError, match="frequency must be > 0, got nan"):
             rail_noise(arch, math.nan, default_config())
-
-    def test_density_wrapper(self):
-        point = rail_noise_density(ArchitectureKind.WIRED, 100.0, default_config())
-        assert point.frequency == 100.0
-        assert point.density == rail_noise(ArchitectureKind.WIRED, 100.0, default_config())
 
 
 class TestWhiteFloorRatio:
