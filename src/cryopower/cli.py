@@ -11,29 +11,31 @@ a run is reproducible from its invocation and config file alone.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import math
-import operator
 import re
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
-from json.encoder import encode_basestring_ascii
-
-from .compare import (
-    FREE_PARAMETER_NAMES,
-    _linspace,
-    evaluate_architecture,
-    devices_under_budget,
-    optimize,
-    scorecard,
-)
 from .configio import ConfigError, _plain_number, parse_config, serialize_config, set_value
-from .model import _FIELD_KINDS, ARCHITECTURES, ArchitectureKind, SystemConfig, _is_finite, default_config, validate
+from .model import (
+    _CHECKS,
+    _FIELD_KINDS,
+    _RULES,
+    ARCHITECTURES,
+    FREE_PARAMETER_NAMES,
+    ArchitectureKind,
+    SystemConfig,
+    _is_finite,
+    _linspace,
+    _violations,
+    default_config,
+    validate,
+)
 from .noise import white_floor_ratio
-from .thermal import _heat_cell
+from .thermal import _heat_cell, _records_at
+
+# compare, json and csv are imported inside the subcommands and formats that
+# read them, so that a process of any other starts without them.
 
 EXIT_OK = 0
 EXIT_INVALID_CONFIG = 1
@@ -51,11 +53,20 @@ class CliError(Exception):
 
 def _csv_document(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     # The csv module writes floats with repr, the shortest round-trip form.
+    import csv
+    import io
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
     return buffer.getvalue()
+
+
+def _json_document(payload: dict[str, Any]) -> str:
+    import json
+
+    return json.dumps(payload, indent=2) + "\n"
 
 
 # The sweep's JSON writers below lay a document out as json.dumps(payload, indent=2) does, byte for byte,
@@ -65,20 +76,10 @@ def _csv_document(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
 _JSON_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_leaf(value: Any) -> str:
-    """One float, str or int as ``json.dumps`` writes it."""
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return text if math.isfinite(value) else _JSON_FLOAT_NAMES[text]
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    return int.__repr__(value)
-
-
-def _json_object(keys: Sequence[str], depth: int) -> str:
+def _json_object(keys: Sequence[str], depth: int, encode: Callable[[str], str]) -> str:
     """A ``%`` template of an object with ``keys`` at nesting ``depth``: one ``%s`` per value."""
     pad = "\n" + "  " * (depth + 1)
-    members = (f"{pad}{encode_basestring_ascii(key).replace('%', '%%')}: %s" for key in keys)
+    members = (f"{pad}{encode(key).replace('%', '%%')}: %s" for key in keys)
     return "{" + ",".join(members) + "\n" + "  " * depth + "}"
 
 
@@ -222,7 +223,7 @@ def _run_evaluate(args: argparse.Namespace) -> str:
         config = set_value(config, "load.device_count", args.devices)
         _require_valid(config)
     arch = ArchitectureKind.from_label(args.arch)
-    loss, thermal = evaluate_architecture(arch, config)
+    loss, thermal = _records_at(arch, config, config.load.delivered_power)
     loss_fields = {
         "delivered_power_w": loss.delivered_power,
         "transmission_loss_w": loss.transmission_loss,
@@ -247,7 +248,7 @@ def _run_evaluate(args: argparse.Namespace) -> str:
             "thermal": thermal_fields,
             "noise_floor_ratio": noise_ratio,
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return _json_document(payload)
     del thermal_fields["p_loss_cold_w"]  # the CSV row has loss_at_cold_stage_w once
     fields = loss_fields | thermal_fields
     header = ["architecture", "device_count", *fields, "noise_floor_ratio"]
@@ -298,16 +299,24 @@ _SWEEP_CSV_COLUMNS = ("value", "architecture", "transmission_loss_w", "q_total_w
 
 
 def _sweep_rows(config: SystemConfig, path: str, values: list[Any]) -> list[tuple]:
+    """The rows of a sweep of ``path`` over ``values`` from ``config``, a config that passed ``validate``."""
     # Python floats from one cell evaluator per architecture and point: no NumPy, no result objects.
     if path == "load.device_count":
-        # The config passed validate when it was loaded, and every count is a whole number >= 1.
+        # Every count is a whole number >= 1.
         p_rx = [config.load.power_per_device * value for value in values]
         points = zip(*[list(map(_heat_cell(arch, config), p_rx)) for arch in ARCHITECTURES])
     else:
+        # A step moves one field of a valid config, so only the checks that read that field can fail: its
+        # own rules and any relation that names it as the other side. Passing them implies every check the
+        # scalar path makes; a step that fails one gets validate's report, which finds the same violations.
+        checks = tuple(
+            check for check, (own, bound) in zip(_CHECKS, _RULES) if path in (own, str(bound).split(" ")[-1])
+        )
         points = []
         for value in values:
             point = set_value(config, path, value)
-            _require_valid(point)  # implies every check the scalar path makes
+            if _violations(point, checks):
+                _require_valid(point)
             points.append([_heat_cell(arch, point)(point.load.delivered_power) for arch in ARCHITECTURES])
     rows = []
     for value, cells in zip(values, points):
@@ -318,16 +327,37 @@ def _sweep_rows(config: SystemConfig, path: str, values: list[Any]) -> list[tupl
 
 def _sweep_json(parameter: str, rows: list[tuple]) -> str:
     """The sweep's JSON document: its rows grouped into one point per swept value."""
-    leaf = _json_leaf
-    architecture = _json_object(_SWEEP_COLUMNS[1:], 4)
-    point = _json_object(("value", "architectures"), 2)
+    from json.encoder import encode_basestring_ascii as encode
+
+    def leaf(value: Any) -> str:
+        """One float, str or int as ``json.dumps`` writes it."""
+        if isinstance(value, float):
+            text = float.__repr__(value)
+            return text if math.isfinite(value) else _JSON_FLOAT_NAMES[text]
+        if isinstance(value, str):
+            return encode(value)
+        return int.__repr__(value)
+
+    architecture = _json_object(_SWEEP_COLUMNS[1:], 4, encode)
+    point = _json_object(("value", "architectures"), 2, encode)
     width = len(ARCHITECTURES)
     points = []
     for start in range(0, len(rows), width):
         group = rows[start : start + width]
         objects = [architecture % tuple(map(leaf, row[1:])) for row in group]
         points.append(point % (leaf(group[0][0]), _json_array(objects, 3)))
-    return _json_object(("parameter", "points"), 0) % (leaf(parameter), _json_array(points, 1)) + "\n"
+    return _json_object(("parameter", "points"), 0, encode) % (leaf(parameter), _json_array(points, 1)) + "\n"
+
+
+def _sweep_csv(parameter: str, rows: list[tuple]) -> str:
+    """The sweep's CSV document, as ``csv.writer`` writes it: one ``%`` template per row.
+
+    No field needs quoting: ``parameter`` is ``device_count`` or a config
+    path, labels are identifiers, and numbers print as their repr.
+    """
+    line = parameter + ",%r,%s,%r,%r,%r\n"
+    lines = [line % (value, label, loss, q_total, cooling) for value, label, loss, _, _, q_total, cooling in rows]
+    return ",".join(("parameter",) + _SWEEP_CSV_COLUMNS) + "\n" + "".join(lines)
 
 
 def _run_sweep(args: argparse.Namespace) -> str:
@@ -339,11 +369,12 @@ def _run_sweep(args: argparse.Namespace) -> str:
     rows = _sweep_rows(config, path, values)
     if args.output_format == "json":
         return _sweep_json(parameter, rows)
-    pick = operator.itemgetter(*(_SWEEP_COLUMNS.index(name) for name in _SWEEP_CSV_COLUMNS))
-    return _csv_document(("parameter",) + _SWEEP_CSV_COLUMNS, [(parameter, *pick(row)) for row in rows])
+    return _sweep_csv(parameter, rows)
 
 
 def _run_compare(args: argparse.Namespace) -> str:
+    from .compare import devices_under_budget, scorecard
+
     config = _load_config(args)
     devices = args.devices or config.load.device_count
     if devices < 1:
@@ -371,11 +402,13 @@ def _run_compare(args: argparse.Namespace) -> str:
         payload: dict[str, Any] = {"device_count": report.device_count, "rows": rows}
         if budget is not None:
             payload["budget_w"] = budget
-        return json.dumps(payload, indent=2) + "\n"
+        return _json_document(payload)
     return _csv_document(list(rows[0]), [list(entry.values()) for entry in rows])
 
 
 def _run_optimize(args: argparse.Namespace) -> str:
+    from .compare import optimize
+
     config = _load_config(args)
     arch = ArchitectureKind.from_label(args.arch)
     free: dict[str, tuple[float, float]] = {}
@@ -407,7 +440,7 @@ def _run_optimize(args: argparse.Namespace) -> str:
                 for params, value in result.trace
             ],
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return _json_document(payload)
     header = ["architecture"] + param_names + ["cooling_power_w", "evaluations"]
     row = (
         [result.architecture.label]

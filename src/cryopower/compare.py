@@ -18,7 +18,15 @@ from itertools import repeat
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .losses import LossBreakdown, _cost_terms, _loss_cell, architecture_loss_at, carries_converter
-from .model import ARCHITECTURES, ArchitectureKind, SystemConfig, _dataclass_compatible, _is_finite
+from .model import (
+    ARCHITECTURES,
+    FREE_PARAMETER_NAMES,
+    ArchitectureKind,
+    SystemConfig,
+    _dataclass_compatible,
+    _is_finite,
+    _linspace,
+)
 from .noise import white_floor_ratio
 from .thermal import ThermalBudget, _heat_cell, _records_at, heat_budget
 
@@ -48,9 +56,6 @@ _KERNEL_BLOCK_CELLS = 1 << 16
 # NumPy's error policy around every array call of the cell evaluator (sweep_loss, optimize's kernel): a
 # division by zero raises FloatingPointError, as a float cell raises ZeroDivisionError; the rest pass as on floats.
 _ARRAY_ERRORS = {"divide": "raise", "over": "ignore", "under": "ignore", "invalid": "ignore"}
-
-FREE_PARAMETER_NAMES = ("v_rx_hv", "wire_count")
-
 
 @_dataclass_compatible
 class ArchitectureEvaluation(NamedTuple):
@@ -495,27 +500,6 @@ def _golden_refine(
                 best_x, best_f = x, fx
         iterations += 1
     return best_x, best_f, 2 + iterations
-
-
-def _linspace(start: float, stop: float, num: int) -> list[float]:
-    """``num >= 1`` evenly spaced floats from ``start`` to ``stop``.
-
-    Repeats ``numpy.linspace``'s float64 arithmetic element for element, so
-    the grid equals ``numpy.linspace(start, stop, num).tolist()`` bit for bit
-    without loading numpy.
-    """
-    start, stop = float(start), float(stop)
-    delta = stop - start
-    if num == 1:
-        return [0.0 * delta + start]
-    div = num - 1
-    step = delta / div
-    if step == 0:  # a span of a few subnormals: divide before scaling
-        values = [i / div * delta + start for i in range(num)]
-    else:
-        values = [i * step + start for i in range(num)]
-    values[-1] = stop
-    return values
 
 
 def _free_params(v: float | None, n: int | None) -> dict[str, float | int]:

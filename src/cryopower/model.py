@@ -54,6 +54,9 @@ ARCHITECTURES: tuple[ArchitectureKind, ...] = tuple(ArchitectureKind)
 
 RESISTANCE_MODES = ("warm", "cold", "mean")
 
+# The fields ``compare.optimize`` can free: ``load.v_rx_hv`` and ``wire.wire_count``.
+FREE_PARAMETER_NAMES = ("v_rx_hv", "wire_count")
+
 
 @dataclass(frozen=True)
 class WireSpec:
@@ -248,6 +251,27 @@ def _is_finite(value: int | float) -> bool:
         return False
 
 
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """``num >= 1`` evenly spaced floats from ``start`` to ``stop``.
+
+    Repeats ``numpy.linspace``'s float64 arithmetic element for element, so
+    the grid equals ``numpy.linspace(start, stop, num).tolist()`` bit for bit
+    without loading numpy.
+    """
+    start, stop = float(start), float(stop)
+    delta = stop - start
+    if num == 1:
+        return [0.0 * delta + start]
+    div = num - 1
+    step = delta / div
+    if step == 0:  # a span of a few subnormals: divide before scaling
+        values = [i / div * delta + start for i in range(num)]
+    else:
+        values = [i * step + start for i in range(num)]
+    values[-1] = stop
+    return values
+
+
 # Each bound, by the text its message prints, with the test that a value of
 # the field's type violates it.
 _BOUNDS: dict[str, Callable[[object], bool]] = {
@@ -331,14 +355,10 @@ _CHECKS = tuple(
 )
 
 
-def validate(config: SystemConfig) -> ValidationResult:
-    """Check every invariant of ``config``, in ``_RULES`` order; violations name the field path.
-
-    Violations are returned as data rather than raised: an invalid config is
-    a legitimate value to inspect, e.g. when diagnosing a config file.
-    """
+def _violations(config: SystemConfig, checks: tuple) -> list[Violation]:
+    """The violations of ``checks``, a selection of ``_CHECKS`` in its order, on ``config``."""
     v: list[Violation] = []
-    for path, get, kind, types, bound, violated, get_other in _CHECKS:
+    for path, get, kind, types, bound, violated, get_other in checks:
         value = get(config)
         if kind is not None and (not isinstance(value, types) or (types is not bool and isinstance(value, bool))):
             problem = f"must be {kind}"
@@ -354,4 +374,13 @@ def validate(config: SystemConfig) -> ValidationResult:
         else:
             continue
         v.append(Violation(path, f"{problem}, got {value!r}"))
-    return ValidationResult(tuple(v))
+    return v
+
+
+def validate(config: SystemConfig) -> ValidationResult:
+    """Check every invariant of ``config``, in ``_RULES`` order; violations name the field path.
+
+    Violations are returned as data rather than raised: an invalid config is
+    a legitimate value to inspect, e.g. when diagnosing a config file.
+    """
+    return ValidationResult(tuple(_violations(config, _CHECKS)))

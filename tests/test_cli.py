@@ -11,15 +11,17 @@ from pathlib import Path
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cryopower.cli import (
+    ARCH_LABELS,
     EXIT_BAD_INVOCATION,
     EXIT_INVALID_CONFIG,
     EXIT_IO_ERROR,
     EXIT_OK,
     _require_valid,
+    _sweep_csv,
     _sweep_json,
     _sweep_rows,
     build_parser,
@@ -298,8 +300,14 @@ def param_sweeps(draw):
 
 class TestParameterSweepRows:
     @given(param_sweeps())
+    # Each sweeps the other side of a relation past it: a step fails a check that is not its field's own.
+    @example((default_config(), "load.v_rx", [1.0, 30.0]))  # load.v_rx_hv is 20
+    @example((default_config(), "converter.v_out", [3.3, 20.0]))  # converter.v_in is 12
+    @example((default_config(), "cooling.t_cold", [4.0, 400.0]))  # cooling.t_ambient is 300
+    @example((default_config(), "wire.resistance_cold", [12.0, 20.0]))  # wire.resistance_warm is 16
     def test_matches_single_point_path(self, sweep):
-        # The CLI reads one cell evaluator per point on Python floats; validate covers the scalar checks.
+        # The CLI reads one cell evaluator per point on Python floats, and checks each step against
+        # the checks that read the swept field; validate covers the scalar checks.
         config, path, values = sweep
         assert sweep_outcome(_sweep_rows, config, path, values) == sweep_outcome(
             reference_param_sweep_rows, config, path, values
@@ -461,6 +469,31 @@ class TestJsonWriter:
             ],
         }
         assert _sweep_json(parameter, rows) == json.dumps(payload, indent=2) + "\n"
+
+
+csv_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]),
+)
+
+
+class TestCsvWriter:
+    @given(
+        st.sampled_from(["device_count", *PARAM_SWEEP_PATHS]),
+        st.lists(
+            st.tuples(
+                st.one_of(st.integers(-(2**80), 2**80), st.sampled_from([2**53 + 1, 2**64]), csv_floats),
+                st.sampled_from(ARCH_LABELS),
+                *[csv_floats] * 5,
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_sweep_csv_matches_csv_writer(self, parameter, rows):
+        header = ["parameter", "value", "architecture", "transmission_loss_w", "q_total_w", "cooling_power_w"]
+        expected = reference_csv(header, [(parameter, v, label, t, q, c) for v, label, t, _, _, q, c in rows])
+        assert _sweep_csv(parameter, rows) == expected
 
 
 class TestOptimizeSubcommand:
@@ -831,27 +864,63 @@ from cryopower import cli
 for argv in (
     ["defaults"],
     ["evaluate", "--arch", "hv_wired"],
-    ["compare", "--devices", "200", "--budget", "1.0"],
+    ["evaluate", "--arch", "hv_wired", "--format", "json"],
     ["sweep", "--param", "converter.f_sw", "--from", "1e5", "--to", "2e6", "--steps", "4"],
+    ["sweep", "--param", "converter.f_sw", "--from", "1e5", "--to", "2e6", "--steps", "4", "--format", "json"],
     ["sweep", "--from", "1", "--to", "500", "--steps", "7"],
     ["sweep", "--from", "1", "--to", "500", "--steps", "7", "--format", "json"],
+):
+    assert cli.main(argv) == 0, argv
+assert "cryopower.compare" not in sys.modules, "compare loaded by a subcommand that does not read it"
+for argv in (
+    ["compare", "--devices", "200", "--budget", "1.0"],
     ["optimize", "--arch", "hv_wired", "--free", "v_rx_hv", "2", "100", "--resolution", "60"],
     ["optimize", "--arch", "hv_wired", "--free", "v_rx_hv", "2", "100", "--free", "wire_count", "1", "4",
      "--resolution", "50", "--format", "json"],
 ):
     assert cli.main(argv) == 0, argv
+assert "cryopower.compare" in sys.modules, "compare and optimize ran without cryopower.compare"
 assert "numpy" not in sys.modules, "numpy loaded by a CLI subcommand"
 """
 
+_EXPORTS_SCRIPT = """
+import sys
+
+import cryopower
+
+loaded = sorted(name for name in sys.modules if name.startswith("cryopower."))
+assert not loaded, f"import cryopower loaded {loaded}"
+missing = set(cryopower.__all__) - set(dir(cryopower))
+assert not missing, f"dir(cryopower) misses {sorted(missing)}"
+namespace = {}
+exec("from cryopower import *", namespace)
+unbound = [name for name in cryopower.__all__ if namespace.get(name) is not getattr(cryopower, name)]
+assert not unbound, f"from cryopower import * does not bind {unbound}"
+try:
+    cryopower.no_such_name
+except AttributeError as exc:
+    assert str(exc) == "module 'cryopower' has no attribute 'no_such_name'", str(exc)
+else:
+    raise AssertionError("cryopower.no_such_name did not raise AttributeError")
+"""
+
+
+def run_fresh_interpreter(script: str) -> subprocess.CompletedProcess:
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+
 
 class TestColdPath:
+    # This process has loaded numpy and every module already, so the checks run in a fresh interpreter.
     def test_point_subcommands_never_load_numpy(self):
-        # This process has loaded numpy already, so the check runs in a fresh interpreter.
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        proc = subprocess.run(
-            [sys.executable, "-c", _COLD_PATH_SCRIPT], env=env, capture_output=True, text=True, timeout=120
-        )
+        # Only compare and optimize load cryopower.compare; no subcommand loads numpy.
+        proc = run_fresh_interpreter(_COLD_PATH_SCRIPT)
         if proc.returncode == 77:
             pytest.skip("the interpreter loads numpy at start-up")
+        assert proc.returncode == 0, proc.stderr
+
+    def test_package_names_resolve_on_first_use(self):
+        # import cryopower loads no submodule; dir, star import and attribute errors still see every name.
+        proc = run_fresh_interpreter(_EXPORTS_SCRIPT)
         assert proc.returncode == 0, proc.stderr
