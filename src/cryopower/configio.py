@@ -6,8 +6,8 @@ for booleans, or bare words for string fields; no unit suffixes, digit-group
 underscores or non-ASCII digits. ``#`` starts a comment. Unknown keys are a
 hard error so typos cannot silently fall back to defaults; ``parse_config``
 checks each key, and the helpers below take only table keys. Each field's kind
-is read from its dataclass annotation, through ``model._FIELD_KINDS``, the
-table ``validate`` and the CLI sweep also read.
+is read from its annotation on the config NamedTuple, through
+``model._FIELD_KINDS``, the table ``validate`` and the CLI sweep also read.
 """
 
 from __future__ import annotations

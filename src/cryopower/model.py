@@ -1,16 +1,16 @@
 """Domain types, validation, and defaults for cryogenic power-delivery modeling.
 
 All quantities are strict SI: watts, volts, amperes, ohms, hertz, seconds,
-kelvin. The config types are frozen dataclasses; derive a modified
-configuration with :func:`dataclasses.replace`. The result records here and
-in the other modules are immutable ``typing.NamedTuple`` classes: derive one
-with ``_replace``.
+kelvin. The config types below and the result records of every module are
+immutable ``typing.NamedTuple`` classes that :mod:`dataclasses` also accepts:
+derive a modified configuration with :func:`dataclasses.replace`, and a
+record with ``_replace``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import _FIELD, MISSING, dataclass, field, fields
+from dataclasses import _FIELD, MISSING, field, fields
 from enum import Enum
 from operator import attrgetter, le, lt
 from typing import Callable, NamedTuple
@@ -58,8 +58,25 @@ RESISTANCE_MODES = ("warm", "cold", "mean")
 FREE_PARAMETER_NAMES = ("v_rx_hv", "wire_count")
 
 
-@dataclass(frozen=True)
-class WireSpec:
+def _dataclass_compatible(cls):
+    """Give the NamedTuple ``cls`` the field table that :mod:`dataclasses` reads.
+
+    So ``replace``, ``fields``, ``asdict`` and ``is_dataclass`` accept the
+    config types and result records. ``Field.type`` is the annotation text, as
+    ``@dataclass`` stores it; ``typing.NamedTuple`` wraps it in a ``ForwardRef``.
+    """
+    table = {}
+    for name in cls._fields:
+        entry = field(default=cls._field_defaults.get(name, MISSING))
+        # ``fields`` and ``asdict`` skip an entry unless it is marked as a regular field.
+        entry.name, entry.type, entry._field_type = name, cls.__annotations__[name].__forward_arg__, _FIELD
+        table[name] = entry
+    cls.__dataclass_fields__ = table
+    return cls
+
+
+@_dataclass_compatible
+class WireSpec(NamedTuple):
     """Electrical and thermal description of one parallel wire rail.
 
     ``resistance_mode`` selects which endpoint resistance enters the loss
@@ -84,8 +101,8 @@ class WireSpec:
         raise ValueError(f"unknown resistance_mode {self.resistance_mode!r}")
 
 
-@dataclass(frozen=True)
-class LoadSpec:
+@_dataclass_compatible
+class LoadSpec(NamedTuple):
     """Delivered-power requirement of the cold electronics."""
 
     power_per_device: float = 0.005
@@ -98,8 +115,8 @@ class LoadSpec:
         return self.power_per_device * self.device_count
 
 
-@dataclass(frozen=True)
-class CouplingSpec:
+@_dataclass_compatible
+class CouplingSpec(NamedTuple):
     """Wireless-link efficiencies and cold-stage loss attribution.
 
     ``loss_to_cold_fraction`` is the share of wireless transmission loss
@@ -112,8 +129,8 @@ class CouplingSpec:
     loss_to_cold_fraction: float = 1.0
 
 
-@dataclass(frozen=True)
-class ConverterSpec:
+@_dataclass_compatible
+class ConverterSpec(NamedTuple):
     """Cold-stage buck converter parameters.
 
     ``include_loss`` toggles whether converter dissipation enters the loss
@@ -136,8 +153,8 @@ class ConverterSpec:
     attach_hv_nonradiative: bool = False
 
 
-@dataclass(frozen=True)
-class CoolingSpec:
+@_dataclass_compatible
+class CoolingSpec(NamedTuple):
     """Cooling-plant operating temperatures and Carnot correction factor."""
 
     t_cold: float = 4.0
@@ -145,8 +162,8 @@ class CoolingSpec:
     eta_c: float = 0.1
 
 
-@dataclass(frozen=True)
-class StageSpec:
+@_dataclass_compatible
+class StageSpec(NamedTuple):
     """Fixed heat entering the budgeted cold stage from other sources.
 
     ``q_electronics`` excludes the DC/DC converter, whose dissipation is
@@ -157,8 +174,8 @@ class StageSpec:
     q_electronics: float = 0.0
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
+@_dataclass_compatible
+class NoiseSpec(NamedTuple):
     """Supply-noise spectrum parameters.
 
     ``switching_spur`` is the integrated converter spur power in V^2,
@@ -171,34 +188,17 @@ class NoiseSpec:
     switching_spur: float = 1e-12
 
 
-@dataclass(frozen=True)
-class SystemConfig:
+@_dataclass_compatible
+class SystemConfig(NamedTuple):
     """Complete description of one power-delivery system under study."""
 
-    wire: WireSpec = field(default_factory=WireSpec)
-    load: LoadSpec = field(default_factory=LoadSpec)
-    coupling: CouplingSpec = field(default_factory=CouplingSpec)
-    converter: ConverterSpec = field(default_factory=ConverterSpec)
-    cooling: CoolingSpec = field(default_factory=CoolingSpec)
-    stage: StageSpec = field(default_factory=StageSpec)
-    noise: NoiseSpec = field(default_factory=NoiseSpec)
-
-
-def _dataclass_compatible(cls):
-    """Give the NamedTuple record ``cls`` the field table that :mod:`dataclasses` reads.
-
-    The result records were frozen dataclasses; with the table,
-    :func:`dataclasses.replace`, :func:`dataclasses.fields` and
-    :func:`dataclasses.asdict` still accept them.
-    """
-    table = {}
-    for name in cls._fields:
-        entry = field(default=cls._field_defaults.get(name, MISSING))
-        # ``fields`` and ``asdict`` skip an entry unless it is marked as a regular field.
-        entry.name, entry.type, entry._field_type = name, cls.__annotations__[name], _FIELD
-        table[name] = entry
-    cls.__dataclass_fields__ = table
-    return cls
+    wire: WireSpec = WireSpec()
+    load: LoadSpec = LoadSpec()
+    coupling: CouplingSpec = CouplingSpec()
+    converter: ConverterSpec = ConverterSpec()
+    cooling: CoolingSpec = CoolingSpec()
+    stage: StageSpec = StageSpec()
+    noise: NoiseSpec = NoiseSpec()
 
 
 @_dataclass_compatible
@@ -297,7 +297,7 @@ _TYPES = {"a number": (int, float), "an integer": int, "a boolean": bool}
 _FIELD_KINDS: dict[str, str | None] = {
     f"{section.name}.{leaf.name}": dict(float="a number", int="an integer", bool="a boolean", str=None)[leaf.type]
     for section in fields(SystemConfig)
-    for leaf in fields(section.default_factory)
+    for leaf in fields(type(section.default))
 }
 
 # Every check validate makes, in report order: field path and bound (a _BOUNDS

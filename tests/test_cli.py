@@ -904,6 +904,24 @@ else:
     raise AssertionError("cryopower.no_such_name did not raise AttributeError")
 """
 
+_NO_DATACLASS_SCRIPT = """
+import sys
+
+import cryopower.cli
+import cryopower.compare
+
+classes = {
+    value
+    for name, module in list(sys.modules.items())
+    if name.startswith("cryopower")
+    for value in vars(module).values()
+    if isinstance(value, type) and value.__module__.startswith("cryopower")
+}
+assert {cryopower.compare.SystemConfig, cryopower.compare.OptimizationResult} <= classes, sorted(map(str, classes))
+generated = sorted(cls.__qualname__ for cls in classes if hasattr(cls, "__dataclass_params__"))
+assert not generated, f"@dataclass classes: {generated}"
+"""
+
 
 def run_fresh_interpreter(script: str) -> subprocess.CompletedProcess:
     src = Path(__file__).resolve().parent.parent / "src"
@@ -923,4 +941,9 @@ class TestColdPath:
     def test_package_names_resolve_on_first_use(self):
         # import cryopower loads no submodule; dir, star import and attribute errors still see every name.
         proc = run_fresh_interpreter(_EXPORTS_SCRIPT)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_no_class_runs_generated_dataclass_code(self):
+        # Config types and result records are NamedTuples; only @dataclass sets __dataclass_params__.
+        proc = run_fresh_interpreter(_NO_DATACLASS_SCRIPT)
         assert proc.returncode == 0, proc.stderr

@@ -197,7 +197,7 @@ class TestValidate:
 
 
 _PATHS = tuple(
-    f"{section.name}.{leaf.name}" for section in fields(SystemConfig) for leaf in fields(section.default_factory)
+    f"{section.name}.{leaf.name}" for section in fields(SystemConfig) for leaf in fields(type(section.default))
 )
 
 # Values that sit on, off and across every bound, of every wrong type, and

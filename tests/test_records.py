@@ -1,12 +1,16 @@
-"""The contract of the public result records.
+"""The contract of the public config types and result records.
 
-The ten result types are immutable ``typing.NamedTuple`` records. Their
-field names and order, ``repr``, hash, truth value and ``str`` are those of
-the frozen dataclasses they replaced, and ``dataclasses.replace``,
-``dataclasses.fields`` and ``dataclasses.asdict`` still accept them.
+The 18 types, the eight config types and the ten result records, are
+immutable ``typing.NamedTuple`` classes. Their field names and order,
+defaults, ``repr``, hash, truth value and ``str`` are those of the frozen
+dataclasses they replaced, and ``dataclasses.replace``,
+``dataclasses.fields``, ``dataclasses.asdict`` and
+``dataclasses.is_dataclass`` still accept them.
 """
 
+import ast
 import dataclasses
+import inspect
 
 import pytest
 
@@ -15,13 +19,21 @@ from cryopower import (
     ArchitectureEvaluation,
     ComparisonReport,
     ComparisonRow,
+    ConverterSpec,
+    CoolingSpec,
+    CouplingSpec,
+    LoadSpec,
     LossBreakdown,
+    NoiseSpec,
     OptimizationResult,
+    StageSpec,
     SweepPoint,
     SweepResult,
+    SystemConfig,
     ThermalBudget,
     ValidationResult,
     Violation,
+    WireSpec,
     architecture_loss_at,
     default_config,
     evaluate_architecture,
@@ -33,7 +45,32 @@ from cryopower import (
 )
 from cryopower.model import ArchitectureKind
 
+CONFIG_FIELDS = {
+    WireSpec: ("resistance_warm", "resistance_cold", "resistance_mode", "thermal_load_per_wire", "wire_count"),
+    LoadSpec: ("power_per_device", "device_count", "v_rx", "v_rx_hv"),
+    CouplingSpec: ("eta_rad_r", "eta_coup_ant", "eta_coup_coil", "loss_to_cold_fraction"),
+    ConverterSpec: (
+        "r_hs",
+        "r_ls",
+        "r_l",
+        "v_in",
+        "v_out",
+        "i_out",
+        "t_r",
+        "t_f",
+        "f_sw",
+        "duty",
+        "include_loss",
+        "attach_hv_nonradiative",
+    ),
+    CoolingSpec: ("t_cold", "t_ambient", "eta_c"),
+    StageSpec: ("q_ambient_leak", "q_electronics"),
+    NoiseSpec: ("s_white", "f_corner", "wireless_floor_ratio", "switching_spur"),
+    SystemConfig: ("wire", "load", "coupling", "converter", "cooling", "stage", "noise"),
+}
+
 FIELDS = {
+    **CONFIG_FIELDS,
     LossBreakdown: (
         "architecture",
         "delivered_power",
@@ -82,6 +119,8 @@ def _records():
     report = scorecard(cfg, 200)
     invalid = validate(_invalid_config())
     return {
+        **{cls: cls() for cls in CONFIG_FIELDS if cls is not SystemConfig},
+        SystemConfig: cfg,
         LossBreakdown: architecture_loss_at(ArchitectureKind.HV_WIRED, cfg, 0.005),
         ThermalBudget: heat_budget(ArchitectureKind.WIRED, cfg),
         Violation: invalid.violations[0],
@@ -126,6 +165,70 @@ def test_replace_builds_the_same_type(cls):
     for changed in (record._replace(**{name: "x"}), dataclasses.replace(record, **{name: "x"})):
         assert type(changed) is cls
         assert tuple(changed) == tuple(record)[:-1] + ("x",)
+
+
+@pytest.mark.parametrize("cls", list(FIELDS), ids=lambda cls: cls.__name__)
+def test_field_types_are_the_annotation_text(cls):
+    # As @dataclass stores them under ``from __future__ import annotations``: text, not a ForwardRef.
+    (node,) = ast.parse(inspect.getsource(cls)).body
+    annotations = {item.target.id: ast.unparse(item.annotation) for item in node.body if isinstance(item, ast.AnnAssign)}
+    assert {field.name: field.type for field in dataclasses.fields(cls)} == annotations
+
+
+@pytest.mark.parametrize("cls", list(CONFIG_FIELDS), ids=lambda cls: cls.__name__)
+def test_config_types_are_dataclasses(cls):
+    assert dataclasses.is_dataclass(cls)
+    assert dataclasses.is_dataclass(RECORDS[cls])
+
+
+def test_system_config_defaults_are_section_instances():
+    for field in dataclasses.fields(SystemConfig):
+        assert type(field.default).__name__ == field.type
+        assert field.default == getattr(RECORDS[SystemConfig], field.name)
+
+
+def test_default_config_repr_is_unchanged():
+    assert repr(default_config()) == (
+        "SystemConfig(wire=WireSpec(resistance_warm=16.0, resistance_cold=12.0, resistance_mode='warm', "
+        "thermal_load_per_wire=0.3, wire_count=1), load=LoadSpec(power_per_device=0.005, device_count=200, "
+        "v_rx=2.0, v_rx_hv=20.0), coupling=CouplingSpec(eta_rad_r=0.9, eta_coup_ant=0.7, eta_coup_coil=0.8, "
+        "loss_to_cold_fraction=1.0), converter=ConverterSpec(r_hs=0.1, r_ls=0.1, r_l=0.05, v_in=12.0, "
+        "v_out=3.3, i_out=0.5, t_r=5e-09, t_f=5e-09, f_sw=1000000.0, duty=0.27499999999999997, "
+        "include_loss=True, attach_hv_nonradiative=False), cooling=CoolingSpec(t_cold=4.0, t_ambient=300.0, "
+        "eta_c=0.1), stage=StageSpec(q_ambient_leak=0.0, q_electronics=0.0), noise=NoiseSpec(s_white=1e-14, "
+        "f_corner=1000.0, wireless_floor_ratio=0.001, switching_spur=1e-12))"
+    )
+
+
+def test_default_config_asdict_nests_every_section():
+    assert dataclasses.asdict(default_config()) == {
+        "wire": {
+            "resistance_warm": 16.0,
+            "resistance_cold": 12.0,
+            "resistance_mode": "warm",
+            "thermal_load_per_wire": 0.3,
+            "wire_count": 1,
+        },
+        "load": {"power_per_device": 0.005, "device_count": 200, "v_rx": 2.0, "v_rx_hv": 20.0},
+        "coupling": {"eta_rad_r": 0.9, "eta_coup_ant": 0.7, "eta_coup_coil": 0.8, "loss_to_cold_fraction": 1.0},
+        "converter": {
+            "r_hs": 0.1,
+            "r_ls": 0.1,
+            "r_l": 0.05,
+            "v_in": 12.0,
+            "v_out": 3.3,
+            "i_out": 0.5,
+            "t_r": 5e-09,
+            "t_f": 5e-09,
+            "f_sw": 1e6,
+            "duty": 3.3 / 12.0,
+            "include_loss": True,
+            "attach_hv_nonradiative": False,
+        },
+        "cooling": {"t_cold": 4.0, "t_ambient": 300.0, "eta_c": 0.1},
+        "stage": {"q_ambient_leak": 0.0, "q_electronics": 0.0},
+        "noise": {"s_white": 1e-14, "f_corner": 1e3, "wireless_floor_ratio": 1e-3, "switching_spur": 1e-12},
+    }
 
 
 def test_asdict_recurses_into_nested_records():
