@@ -1,11 +1,11 @@
 """Command-line interface: evaluate, sweep, compare, optimize, defaults.
 
 Reads an optional config file (strict ``section.field = value`` format),
-applies command-line overrides, and emits deterministic CSV or JSON on
-stdout. Diagnostics go to stderr. Exit codes: 0 success, 1 invalid
-configuration, 2 malformed invocation, 3 I/O failure (a config file that
-cannot be read or is not UTF-8). No environment variables are consulted;
-a run is reproducible from its invocation and config file alone.
+applies command-line overrides, and emits deterministic CSV or JSON on stdout.
+Diagnostics go to stderr. Exit codes: 0 success, 1 invalid configuration, 2
+malformed invocation or any ``ValueError`` (the CLI's own checks included), 3
+I/O failure (a config file that cannot be read or is not UTF-8). A run consults
+no environment variable: it is reproducible from its invocation and config.
 """
 
 from __future__ import annotations
@@ -18,13 +18,12 @@ from typing import Any, Callable, Sequence
 
 from .configio import ConfigError, _plain_number, parse_config, serialize_config, set_value
 from .model import (
-    _CHECKS,
     _FIELD_KINDS,
-    _RULES,
     ARCHITECTURES,
     FREE_PARAMETER_NAMES,
     ArchitectureKind,
     SystemConfig,
+    _checks_reading,
     _is_finite,
     _linspace,
     _violations,
@@ -259,23 +258,20 @@ def _run_evaluate(args: argparse.Namespace) -> str:
 def _sweep_values(param: str, start: float, stop: float, steps: int):
     path = "load.device_count" if param == "device_count" else param
     if path not in _FIELD_KINDS:
-        raise CliError(f"unknown sweep parameter: {param!r}", EXIT_BAD_INVOCATION)
+        raise ValueError(f"unknown sweep parameter: {param!r}")
     if not (math.isfinite(start) and math.isfinite(stop)):
-        raise CliError(f"bounds for {param!r} must be finite, got [{start!r}, {stop!r}]", EXIT_BAD_INVOCATION)
+        raise ValueError(f"bounds for {param!r} must be finite, got [{start!r}, {stop!r}]")
     if stop < start:
-        raise CliError(f"sweep range is inverted: from {start!r} to {stop!r}", EXIT_BAD_INVOCATION)
+        raise ValueError(f"sweep range is inverted: from {start!r} to {stop!r}")
     kind = _FIELD_KINDS[path]
     if kind not in ("a number", "an integer"):
-        raise CliError(f"sweep parameter must be numeric: {param!r}", EXIT_BAD_INVOCATION)
+        raise ValueError(f"sweep parameter must be numeric: {param!r}")
     if not _is_finite(steps):  # an integer past float range
-        raise CliError(f"--steps must be finite, got {steps!r}", EXIT_BAD_INVOCATION)
+        raise ValueError(f"--steps must be finite, got {steps!r}")
     raw = _linspace(start, stop, steps)
     if not all(map(math.isfinite, raw)):
         # stop - start overflows, so the grid's first element is 0 * inf + start
-        raise CliError(
-            f"sweep span for {param!r} overflows: [{start!r}, {stop!r}] gives non-finite values",
-            EXIT_BAD_INVOCATION,
-        )
+        raise ValueError(f"sweep span for {param!r} overflows: [{start!r}, {stop!r}] gives non-finite values")
     if kind == "an integer":
         values: list[Any] = sorted(set(int(round(x)) for x in raw))
     else:
@@ -306,17 +302,12 @@ def _sweep_rows(config: SystemConfig, path: str, values: list[Any]) -> list[tupl
         p_rx = [config.load.power_per_device * value for value in values]
         points = zip(*[list(map(_heat_cell(arch, config), p_rx)) for arch in ARCHITECTURES])
     else:
-        # A step moves one field of a valid config, so only the checks that read that field can fail: its
-        # own rules and any relation that names it as the other side. Passing them implies every check the
-        # scalar path makes; a step that fails one gets validate's report, which finds the same violations.
-        checks = tuple(
-            check for check, (own, bound) in zip(_CHECKS, _RULES) if path in (own, str(bound).split(" ")[-1])
-        )
+        checks = _checks_reading(path)
         points = []
         for value in values:
             point = set_value(config, path, value)
             if _violations(point, checks):
-                _require_valid(point)
+                _require_valid(point)  # validate's report of the step
             points.append([_heat_cell(arch, point)(point.load.delivered_power) for arch in ARCHITECTURES])
     rows = []
     for value, cells in zip(values, points):
@@ -364,7 +355,7 @@ def _run_sweep(args: argparse.Namespace) -> str:
     config = _load_config(args)
     path, values = _sweep_values(args.param, args.start, args.stop, args.steps)
     if path == "load.device_count" and values[0] < 1:
-        raise CliError(f"device_count sweep must start at >= 1, got {values[0]}", EXIT_BAD_INVOCATION)
+        raise ValueError(f"device_count sweep must start at >= 1, got {values[0]}")
     parameter = "device_count" if path == "load.device_count" else path
     rows = _sweep_rows(config, path, values)
     if args.output_format == "json":
@@ -378,7 +369,7 @@ def _run_compare(args: argparse.Namespace) -> str:
     config = _load_config(args)
     devices = args.devices or config.load.device_count
     if devices < 1:
-        raise CliError(f"compare needs a device count >= 1, got {devices}", EXIT_BAD_INVOCATION)
+        raise ValueError(f"compare needs a device count >= 1, got {devices}")
     budget = args.budget
     report = scorecard(config, devices)
     counts = None
@@ -414,12 +405,11 @@ def _run_optimize(args: argparse.Namespace) -> str:
     free: dict[str, tuple[float, float]] = {}
     for name, lo_text, hi_text in args.free:
         if name in free:
-            raise CliError(f"free parameter {name!r} given twice", EXIT_BAD_INVOCATION)
+            raise ValueError(f"free parameter {name!r} given twice")
         try:
-            lo, hi = _plain_number(lo_text), _plain_number(hi_text)
+            free[name] = (_plain_number(lo_text), _plain_number(hi_text))
         except ValueError as exc:
-            raise CliError(f"invalid bounds for {name!r}: {exc}", EXIT_BAD_INVOCATION) from exc
-        free[name] = (lo, hi)
+            raise ValueError(f"invalid bounds for {name!r}: {exc}") from exc
     result = optimize(
         config,
         free,
@@ -451,7 +441,7 @@ def _run_optimize(args: argparse.Namespace) -> str:
 
 
 def run(args: argparse.Namespace) -> tuple[int, str, str]:
-    """Execute a parsed command line: (exit status, stdout document, stderr text); a library ValueError exits 2."""
+    """Run a parsed command line: (exit status, stdout, stderr); any ValueError, the CLI's own included, exits 2."""
     try:
         return EXIT_OK, args.handler(args), ""
     except CliError as exc:

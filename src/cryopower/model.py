@@ -355,6 +355,16 @@ _CHECKS = tuple(
 )
 
 
+def _checks_reading(path: str) -> tuple:
+    """The ``_CHECKS`` that a change of ``path`` alone can fail: its own rules and each relation naming it.
+
+    A config that passed ``validate`` and changed in ``path`` alone passes every check if it passes
+    these, and ``_violations`` over them finds what ``validate`` finds.
+    """
+    # A check is (path, getter, kind, types, bound, test, the other side's getter or None).
+    return tuple(check for check in _CHECKS if path == check[0] or check[6] and check[4].endswith(" " + path))
+
+
 def _violations(config: SystemConfig, checks: tuple) -> list[Violation]:
     """The violations of ``checks``, a selection of ``_CHECKS`` in its order, on ``config``."""
     v: list[Violation] = []

@@ -3,6 +3,7 @@
 import itertools
 import math
 from dataclasses import fields, replace
+from operator import attrgetter
 
 import pytest
 from hypothesis import given
@@ -16,11 +17,14 @@ from cryopower.model import (
     SystemConfig,
     Violation,
     WireSpec,
+    _checks_reading,
+    _violations,
     default_config,
     validate,
 )
 
 import validate_reference
+from strategies import system_configs
 
 
 class TestArchitectureKind:
@@ -217,8 +221,7 @@ _RELATIONS = (
 )
 
 
-def _with_values(values: dict) -> SystemConfig:
-    cfg = default_config()
+def _with_values(values: dict, cfg: SystemConfig = default_config()) -> SystemConfig:
     for path, value in values.items():
         section, leaf = path.split(".")
         cfg = replace(cfg, **{section: replace(getattr(cfg, section), **{leaf: value})})
@@ -277,3 +280,38 @@ class TestValidateMatchesReference:
             "converter.v_out: must be > 0, got 0",
             "converter.v_in: must be finite, got nan",
         ]
+
+
+def _one_step_past(cfg: SystemConfig, path: str) -> list:
+    """Floats and integers one step either side of 0, 1 and each relation's other side in ``cfg``."""
+    edges = [0, 1, *(attrgetter(b)(cfg) for a, b in _RELATIONS if a == path)]
+    edges += [attrgetter(a)(cfg) for a, b in _RELATIONS if b == path]
+    floats = [math.nextafter(edge, direction) for edge in edges for direction in (-math.inf, math.inf)]
+    return floats + [math.floor(edge) - 1 for edge in edges] + [math.ceil(edge) + 1 for edge in edges]
+
+
+@st.composite
+def _one_field_changes(draw):
+    """A valid config with one field, of any of the 34, set to a value that may break a check."""
+    cfg = draw(st.one_of(st.just(default_config()), system_configs()))
+    path = draw(st.sampled_from(_PATHS))
+    edges = (10**400, *_SPECIAL_VALUES, *_one_step_past(cfg, path))
+    value = draw(st.one_of(st.sampled_from(edges), st.floats(), st.integers()))
+    return cfg, path, _with_values({path: value}, cfg)
+
+
+class TestChecksReading:
+    """The checks a parameter sweep runs on each step against what validate finds."""
+
+    @given(_one_field_changes())
+    def test_finds_what_validate_finds(self, change):
+        base, path, cfg = change
+        assert validate(base).ok
+        assert _violations(cfg, _checks_reading(path)) == list(validate(cfg).violations)
+
+    @pytest.mark.parametrize("path, other", _RELATIONS)
+    def test_a_step_of_the_other_side_breaks_the_relation(self, path, other):
+        cfg = _with_values({other: math.nextafter(attrgetter(path)(default_config()), math.inf)})
+        found = _violations(cfg, _checks_reading(other))
+        assert [violation.path for violation in found] == [path]
+        assert found == list(validate(cfg).violations)
